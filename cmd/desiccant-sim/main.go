@@ -51,7 +51,7 @@ func run(args []string) error {
 	metricsPath := fs.String("metrics", "", "write the sampled metrics time series CSV to this file (observe only)")
 	summary := fs.Bool("summary", false, "print a human-readable summary instead of the metrics snapshot (observe only)")
 	intensity := fs.Float64("intensity", 0, "pin the fault intensity instead of sweeping the default axis (chaos only)")
-	shards := fs.Int("shards", 0, "sharded-engine worker count; 0 = default (ext-fleet/ext-attr/ext-cluster/calibrate; output is identical at any setting)")
+	shards := fs.Int("shards", 0, "sharded-engine worker count; 0 = default (ext-fleet/ext-attr/ext-cluster; calibrate accepts and ignores it; output is identical at any setting)")
 	jsonPath := fs.String("json", "", "write the machine-readable VALIDATION.json report to this file (calibrate only)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
@@ -214,7 +214,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "       desiccant-sim ext-attr [-quick] [-seed N] [-shards N] [-trace out.json] [-summary]")
 	fmt.Fprintln(w, "       desiccant-sim ext-cluster [-quick] [-seed N] [-parallel N] [-shards N]")
 	fmt.Fprintln(w, "       desiccant-sim trace [-quick] [-seed N] [-trace out.json] [-summary] [-o attr.csv]")
-	fmt.Fprintln(w, "       desiccant-sim calibrate [-quick] [-seed N] [-parallel N] [-shards N] [-json VALIDATION.json]")
+	fmt.Fprintln(w, "       desiccant-sim calibrate [-quick] [-seed N] [-parallel N] [-json VALIDATION.json]")
 	fmt.Fprintln(w, "\nexperiments:")
 	for _, e := range experiments.List() {
 		fmt.Fprintf(w, "  %-8s %-10s %s\n", e.Name, e.Figure, e.Description)

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -40,6 +41,9 @@ func main() {
 }
 
 func run(fn string, rate, durationSec float64, setup string, cacheMB int64, cpus float64, traceCache bool, seed uint64) error {
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("-rate must be a positive finite req/s, got %v", rate)
+	}
 	eng := sim.NewEngine()
 	cfg := faas.DefaultConfig()
 	cfg.Seed = seed

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestRunSetups(t *testing.T) {
 	for _, setup := range []string{"vanilla", "eager", "desiccant", "swap"} {
@@ -31,5 +34,10 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run("fft", 1, 1, "bogus-setup", 512, 8, false, 1); err == nil {
 		t.Fatal("unknown setup accepted")
+	}
+	for _, rate := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		if err := run("fft", rate, 1, "vanilla", 512, 8, false, 1); err == nil {
+			t.Fatalf("-rate %v accepted", rate)
+		}
 	}
 }

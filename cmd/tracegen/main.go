@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"desiccant/internal/trace"
@@ -35,6 +36,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	load := fs.String("load", "", "load a previously saved trace instead of generating")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *load == "" && *n < 1 {
+		return fmt.Errorf("-n must be at least 1, got %d", *n)
+	}
+	if *match && (!(*rate > 0) || math.IsInf(*rate, 1)) {
+		return fmt.Errorf("-rate must be a positive finite req/s, got %v", *rate)
 	}
 
 	var tr *trace.Trace
@@ -79,7 +86,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	assignments := trace.Match(tr, workload.All())
+	specs := workload.All()
+	if len(tr.Entries) < len(specs) {
+		return fmt.Errorf("-match needs at least %d trace entries (one per Table 1 function), got %d",
+			len(specs), len(tr.Entries))
+	}
+	assignments := trace.Match(tr, specs)
 	trace.NormalizeRate(assignments, *rate)
 	fmt.Fprintln(stdout, "function,chain,total_exec_ms,matched_id,matched_duration_ms,pattern,mean_iat_s,rate_rps")
 	var total float64

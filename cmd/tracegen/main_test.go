@@ -57,4 +57,17 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-bogus"}, &out, &errOut); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	for _, args := range [][]string{
+		{"-n", "0"},
+		{"-n", "-5"},
+		{"-match", "-rate", "0"},
+		{"-match", "-rate", "-1"},
+		{"-match", "-rate", "NaN"},
+		{"-match", "-rate", "+Inf"},
+		{"-n", "3", "-match"},
+	} {
+		if err := run(args, &out, &errOut); err == nil {
+			t.Fatalf("%v accepted", args)
+		}
+	}
 }

@@ -154,6 +154,7 @@ func (c *Cluster) collect() (*Result, error) {
 		Moves:        rt.moves,
 		Deaths:       rt.deaths,
 		Violations:   rt.violations,
+		Shard:        c.s.Stats(),
 	}
 	for d := 1; d <= o.Nodes; d++ {
 		n := c.nodes[d]

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"desiccant/internal/core"
+	"desiccant/internal/faas"
+	"desiccant/internal/obs"
 	"desiccant/internal/sim"
 )
 
@@ -228,6 +231,36 @@ func BenchmarkClusterReplay(b *testing.B) {
 		}
 		if res.Acks == 0 {
 			b.Fatal("no work done")
+		}
+	}
+}
+
+// TestInvocationIDsNodeBlocks pins the fleet-wide invocation identity:
+// node d (0-based) numbers its requests (d+1)·10⁹ + 1, +2, ... in
+// arrival order, under the dynamic protocol as well as the static one.
+func TestInvocationIDsNodeBlocks(t *testing.T) {
+	for _, policy := range []string{PolicyPinned, PolicyGarbageAware} {
+		o := quickOptions(policy)
+		var next []int64
+		o.ObserveNode = func(node int, _ *sim.Engine, bus *obs.Bus, _ *faas.Platform, _ *core.Manager) {
+			next = append(next, int64(node+1)*invoBlock+1)
+			bus.Subscribe(obs.SubscriberFunc(func(ev obs.Event) {
+				if ev.Kind != obs.EvInvokeSubmit {
+					return
+				}
+				if ev.Invo != next[node] {
+					t.Errorf("%s: node %d submitted invo %d, want %d", policy, node, ev.Invo, next[node])
+				}
+				next[node]++
+			}))
+		}
+		if _, err := Run(o); err != nil {
+			t.Fatal(err)
+		}
+		for node, n := range next {
+			if n == int64(node+1)*invoBlock+1 {
+				t.Fatalf("%s: node %d submitted nothing", policy, node)
+			}
 		}
 	}
 }

@@ -38,6 +38,12 @@ type Node struct {
 	adoptErrs []string
 }
 
+// invoBlock is the width of each node's invocation-ID block: node d
+// (domain d, 1-based) numbers its requests invoBlock·d + 1, +2, ...,
+// so IDs are unique across the fleet and the node is readable off an
+// ID as id / invoBlock.
+const invoBlock = int64(1_000_000_000)
+
 // newNode wires one machine domain. The construction order (platform,
 // manager, ack subscriber) deliberately mirrors the original
 // ext-fleet wiring so the static pinned configuration replays
@@ -48,6 +54,7 @@ func newNode(c *Cluster, d int, mcfg *core.Config) *Node {
 	pcfg := faas.DefaultConfig()
 	pcfg.CacheBytes = c.opts.CacheBytes
 	pcfg.Events = bus
+	pcfg.InvoBase = int64(d) * invoBlock
 	n := &Node{
 		c:        c,
 		d:        d,

@@ -112,9 +112,10 @@ type Options struct {
 	Migration Migration
 	// Kills decommissions machines mid-replay.
 	Kills []Kill
-	// ObserveNode, when set, is called once per node after the node is
-	// wired but before the replay starts — the hook tests use to
-	// attach the invariant checker to every machine.
+	// ObserveNode, when set, is called once per node, in node order,
+	// after the node is wired but before the replay starts — the hook
+	// tests use to attach the invariant checker to every machine and
+	// ext-attr uses to attach a span builder to every node's bus.
 	ObserveNode func(node int, eng *sim.Engine, bus *obs.Bus, p *faas.Platform, mgr *core.Manager)
 }
 

@@ -196,8 +196,8 @@ func Attach(p *faas.Platform, cfg Config) *Manager {
 	if m.bus != nil {
 		m.bus.Emit(obs.Event{Kind: obs.EvThreshold, Inst: -1, Val: m.threshold})
 	}
-	p.SetEvictionHook(func(n int) { m.evictionsSeen += n })
-	p.SetDestroyHook(func(inst *container.Instance) {
+	p.OnEviction(func(n int) { m.evictionsSeen += n })
+	p.OnDestroy(func(inst *container.Instance) {
 		m.profiles.forget(inst)
 		delete(m.lastReclaim, inst)
 		delete(m.retries, inst)

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -114,4 +116,17 @@ func TestAttrSummaryAnswersTheQuestion(t *testing.T) {
 			t.Fatalf("summary lacks %q:\n%s", want, text)
 		}
 	}
+}
+
+// TestAttrGoldenPreRefactor pins ext-attr's attribution CSV across
+// commits: the quick CSV's SHA-256 was captured before ext-attr's
+// fleet moved onto cluster.Run, and the cluster-backed replay must
+// still reproduce it byte for byte. (The CSV itself is ~145 KB, so
+// the golden is its digest.) Shard-count identity within one run
+// (TestAttrShardInvariance) cannot catch a drift that moves every
+// shard count together; this golden does.
+func TestAttrGoldenPreRefactor(t *testing.T) {
+	csv, _ := attrExports(t, quickAttrOptions())
+	sum := sha256.Sum256(csv)
+	checkE2EGolden(t, "golden_attr_quick.csv.sha256", []byte(hex.EncodeToString(sum[:])+"\n"))
 }

@@ -66,11 +66,6 @@ func DefaultAttrOptions() AttrOptions {
 	}
 }
 
-// attrInvoBase spreads machine d's invocation IDs into a disjoint
-// block: fleet-style global uniqueness with the machine readable off
-// the ID (invo / 1e9 == machine).
-const attrInvoBase = int64(1_000_000_000)
-
 // AttrModeResult is one mode's replay: the merged span set plus the
 // engine's self-metrics.
 type AttrModeResult struct {
@@ -106,12 +101,6 @@ type AttrResult struct {
 // RunAttr replays the trace once per mode on the sharded mini-fleet
 // and folds every machine's event stream into invocation spans.
 func RunAttr(o AttrOptions) (*AttrResult, error) {
-	if o.Machines < 1 {
-		return nil, fmt.Errorf("experiments: attr needs at least one machine, got %d", o.Machines)
-	}
-	if o.RouteLatency <= 0 {
-		return nil, fmt.Errorf("experiments: attr needs a positive route latency, got %v", o.RouteLatency)
-	}
 	res := &AttrResult{}
 	for _, mode := range o.Modes {
 		mr, err := runAttrMode(o, mode)
@@ -123,80 +112,44 @@ func RunAttr(o AttrOptions) (*AttrResult, error) {
 	return res, nil
 }
 
+// runAttrMode is one pinned cluster.Run with a span builder on every
+// node's bus. Node d numbers its invocations from d·10⁹, so span IDs
+// are fleet-unique and MergeSpans is a concatenation plus a sort.
 func runAttrMode(o AttrOptions, mode string) (*AttrModeResult, error) {
-	var mcfg *core.Config
-	switch mode {
-	case "vanilla":
-	case "reclaim":
-		c := core.DefaultConfig()
-		mcfg = &c
-	case "swap":
-		c := core.DefaultConfig()
-		c.Mode = core.ModeSwap
-		mcfg = &c
-	default:
-		return nil, fmt.Errorf("experiments: unknown attr mode %q", mode)
-	}
-
-	s := sim.NewSharded(o.Machines+1, o.Shards, o.RouteLatency)
-	builders := make([]*invtrace.Builder, o.Machines)
-	platforms := make([]*faas.Platform, o.Machines)
-	managers := make([]*core.Manager, 0, o.Machines)
+	var builders []*invtrace.Builder
+	var platforms []*faas.Platform
 	rec := obs.NewRecorder()
 	rec.Ignore(obs.EvEngineFire)
-	for i := range platforms {
-		d := i + 1
-		eng := s.Domain(d)
-		bus := obs.NewBus(eng)
-		builders[i] = invtrace.NewBuilder()
-		builders[i].Attach(bus)
-		if d == 1 {
-			// Machine 1 doubles as the Perfetto specimen: its events and
-			// spans are self-consistent (instance IDs are only unique
-			// per machine, so the trace covers exactly one).
-			bus.Subscribe(rec)
-		}
-		pcfg := faas.DefaultConfig()
-		pcfg.CacheBytes = o.CacheBytes
-		pcfg.Events = bus
-		pcfg.InvoBase = int64(d) * attrInvoBase
-		platforms[i] = faas.New(pcfg, eng)
-		if mcfg != nil {
-			managers = append(managers, core.Attach(platforms[i], *mcfg))
-		}
-	}
-
-	router := cluster.NewStaticRouter(platforms, cluster.NewPinned())
-	tr := trace.Generate(trace.GenConfig{Seed: o.TraceSeed, Functions: o.TraceFunctions})
-	assignments := trace.Match(tr, workload.All())
-	trace.NormalizeRate(assignments, o.BaseRate)
-	end := sim.Time(o.Window)
-	rp := trace.NewReplayer(router, assignments, o.TraceSeed+1)
-	rp.Schedule(0, end, o.Scale)
-
-	s.RunUntil(end)
-	for _, m := range managers {
-		m.Stop()
-	}
-	// Drain so every submitted invocation closes its span (the
-	// sum-exactness check needs complete spans; the cap is a backstop).
-	drainEnd := end
-	for i := 0; i < 240; i++ {
-		busy := false
-		for d := 0; d < s.Domains(); d++ {
-			if _, ok := s.Domain(d).Next(); ok {
-				busy = true
-				break
+	cr, err := cluster.Run(cluster.Options{
+		Nodes:          o.Machines,
+		Shards:         o.Shards,
+		RouteLatency:   o.RouteLatency,
+		Window:         o.Window,
+		Scale:          o.Scale,
+		TraceFunctions: o.TraceFunctions,
+		BaseRate:       o.BaseRate,
+		TraceSeed:      o.TraceSeed,
+		CacheBytes:     o.CacheBytes,
+		Policy:         cluster.PolicyPinned,
+		Mode:           mode,
+		ObserveNode: func(node int, _ *sim.Engine, bus *obs.Bus, p *faas.Platform, _ *core.Manager) {
+			b := invtrace.NewBuilder()
+			b.Attach(bus)
+			builders = append(builders, b)
+			if node == 0 {
+				// Machine 1 doubles as the Perfetto specimen: its events
+				// and spans are self-consistent (instance IDs are only
+				// unique per machine, so the trace covers exactly one).
+				bus.Subscribe(rec)
 			}
-		}
-		if !busy {
-			break
-		}
-		drainEnd = drainEnd.Add(sim.Second)
-		s.RunUntil(drainEnd)
+			platforms = append(platforms, p)
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	mr := &AttrModeResult{Mode: mode, Shard: s.Stats(), MachineEvents: rec.Events()}
+	mr := &AttrModeResult{Mode: mode, Shard: cr.Shard, MachineEvents: rec.Events()}
 	groups := make([][]*invtrace.Span, len(builders))
 	for i, b := range builders {
 		groups[i] = b.Spans()

@@ -4,20 +4,23 @@ import (
 	"bytes"
 	"testing"
 
+	"desiccant/internal/cluster"
 	"desiccant/internal/sim"
 )
 
-func quickFleetOptions() FleetOptions {
-	o := DefaultFleetOptions()
-	o.Machines = 4
+func quickFleetOptions() cluster.Options {
+	o := fleetOptions()
+	o.Nodes = 4
 	o.Window = 10 * sim.Second
 	o.TraceFunctions = 120
 	return o
 }
 
-func fleetCSV(t testing.TB, o FleetOptions) string {
+// fleetCSV replays o, checks the cross-shard bookkeeping and renders
+// the ext-fleet CSV.
+func fleetCSV(t testing.TB, o cluster.Options) string {
 	t.Helper()
-	res, err := RunFleet(o)
+	res, err := cluster.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +28,7 @@ func fleetCSV(t testing.TB, o FleetOptions) string {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	res.WriteCSV(&buf)
+	writeFleetCSV(&buf, res)
 	return buf.String()
 }
 
@@ -47,8 +50,7 @@ func TestFleetShardInvariance(t *testing.T) {
 // TestFleetRouting pins the router's bookkeeping: work actually lands
 // on every machine, completions flow, and acks cross back.
 func TestFleetRouting(t *testing.T) {
-	o := quickFleetOptions()
-	res, err := RunFleet(o)
+	res, err := cluster.Run(quickFleetOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +62,10 @@ func TestFleetRouting(t *testing.T) {
 	}
 	for _, row := range res.Rows {
 		if row.Functions == 0 {
-			t.Fatalf("machine %d received no functions (round-robin broken)", row.Machine)
+			t.Fatalf("machine %d received no functions (placement broken)", row.Node)
 		}
 		if row.Completions == 0 {
-			t.Fatalf("machine %d completed nothing", row.Machine)
+			t.Fatalf("machine %d completed nothing", row.Node)
 		}
 	}
 	if res.Fleet.Quantile(0.99) <= 0 {
@@ -79,7 +81,7 @@ func TestFleetSeedSweep(t *testing.T) {
 		t.Skip("seed sweep is slow")
 	}
 	o := quickFleetOptions()
-	o.Machines = 3
+	o.Nodes = 3
 	o.Window = 4 * sim.Second
 	o.TraceFunctions = 60
 	for seed := uint64(1); seed <= 50; seed++ {
@@ -97,14 +99,14 @@ func TestFleetSeedSweep(t *testing.T) {
 // speedup question is about saturated machines, where per-window
 // simulation work dominates the barrier handshake.
 func benchmarkFleet(b *testing.B, shards int) {
-	o := DefaultFleetOptions()
+	o := fleetOptions()
 	o.Shards = shards
 	o.Window = 30 * sim.Second
 	o.Scale = 200
 	o.RouteLatency = 5 * sim.Millisecond
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := RunFleet(o)
+		res, err := cluster.Run(o)
 		if err != nil {
 			b.Fatal(err)
 		}

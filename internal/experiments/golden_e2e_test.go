@@ -83,9 +83,9 @@ func checkE2EGolden(t *testing.T, name string, got []byte) {
 		t.Fatalf("missing golden (run with -update): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("%s drifted from the pre-fast-path golden (%d vs %d bytes); the page-accounting "+
-			"fast paths changed observable behaviour — diff the files, regenerate with -update "+
-			"only if the model change is intended", name, len(got), len(want))
+		t.Fatalf("%s drifted from its committed golden (%d vs %d bytes); observable behaviour "+
+			"changed — diff the files, regenerate with -update only if the model change is intended",
+			name, len(got), len(want))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"desiccant/internal/cluster"
 	"desiccant/internal/core"
 	"desiccant/internal/runtime"
 	"desiccant/internal/sim"
@@ -315,9 +316,9 @@ func init() {
 			Name: "ext-fleet", Figure: "Extension", Claim: "-",
 			Description: "multi-machine replay on the sharded engine: router + N platforms, byte-identical at any -shards",
 			Run: func(w io.Writer, opts Options) error {
-				o := DefaultFleetOptions()
+				o := fleetOptions()
 				if opts.Quick {
-					o.Machines = 4
+					o.Nodes = 4
 					o.Window = 20 * sim.Second
 					o.TraceFunctions = 200
 				}
@@ -327,11 +328,11 @@ func init() {
 				if opts.Shards > 0 {
 					o.Shards = opts.Shards
 				}
-				res, err := RunFleet(o)
+				res, err := cluster.Run(o)
 				if err != nil {
 					return err
 				}
-				res.WriteCSV(w)
+				writeFleetCSV(w, res)
 				return res.CheckConsistency()
 			},
 		},

@@ -205,17 +205,6 @@ func (p *Platform) OnFreeze(fn func(inst *container.Instance)) { p.onFreeze.Add(
 // every eviction/kill so managers can abandon per-instance state.
 func (p *Platform) OnDestroy(fn func(inst *container.Instance)) { p.onDestroy.Add(fn) }
 
-// SetEvictionHook is a compatibility shim for OnEviction. The old
-// single-callback setters silently dropped the previous observer
-// (last-writer-wins); registration now appends instead.
-func (p *Platform) SetEvictionHook(fn func(n int)) { p.OnEviction(fn) }
-
-// SetFreezeHook is a compatibility shim for OnFreeze.
-func (p *Platform) SetFreezeHook(fn func(inst *container.Instance)) { p.OnFreeze(fn) }
-
-// SetDestroyHook is a compatibility shim for OnDestroy.
-func (p *Platform) SetDestroyHook(fn func(inst *container.Instance)) { p.OnDestroy(fn) }
-
 // invocation tracks one request through its (possibly chained) stages.
 type invocation struct {
 	id        int64 // causal-tracing invocation ID, assigned at arrival

@@ -109,7 +109,7 @@ func TestEvictionUnderMemoryPressure(t *testing.T) {
 	eng, p := newPlatform(t, cfg)
 
 	evictions := 0
-	p.SetEvictionHook(func(n int) { evictions += n })
+	p.OnEviction(func(n int) { evictions += n })
 
 	// Serialize different functions so each needs its own instance.
 	names := []string{"sort", "fft", "matrix", "file-hash", "pi", "factor"}

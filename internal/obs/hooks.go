@@ -1,11 +1,10 @@
 package obs
 
-// Hooks is an ordered list of callbacks. It replaces the platform's
-// old single-callback hook fields, where a second SetXxxHook call
-// silently dropped the first observer (last-writer-wins). Callbacks
-// fire in registration order, matching the bus's determinism
-// contract. The zero value is ready to use; a nil receiver is a
-// valid empty list for Fire.
+// Hooks is an ordered list of callbacks: registering a second
+// observer appends, it never replaces the first. Callbacks fire in
+// registration order, matching the bus's determinism contract. The
+// zero value is ready to use; a nil receiver is a valid empty list
+// for Fire.
 type Hooks[T any] struct {
 	fns []func(T)
 }
