@@ -25,7 +25,6 @@ import (
 	// the registry in internal/experiments free of an import cycle.
 	_ "desiccant/internal/calibrate"
 	"desiccant/internal/experiments"
-	"desiccant/internal/sim"
 )
 
 func main() {
@@ -51,7 +50,7 @@ func run(args []string) error {
 	metricsPath := fs.String("metrics", "", "write the sampled metrics time series CSV to this file (observe only)")
 	summary := fs.Bool("summary", false, "print a human-readable summary instead of the metrics snapshot (observe only)")
 	intensity := fs.Float64("intensity", 0, "pin the fault intensity instead of sweeping the default axis (chaos only)")
-	shards := fs.Int("shards", 0, "sharded-engine worker count; 0 = default (ext-fleet/ext-attr/ext-cluster; calibrate accepts and ignores it; output is identical at any setting)")
+	shards := fs.Int("shards", 0, "sharded-engine worker count; 0 = default (ext-fleet/ext-attr/ext-cluster only; output is identical at any setting)")
 	jsonPath := fs.String("json", "", "write the machine-readable VALIDATION.json report to this file (calibrate only)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
@@ -74,8 +73,8 @@ func run(args []string) error {
 	if *shards < 0 {
 		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
 	}
-	if cmd != "ext-fleet" && cmd != "ext-attr" && cmd != "ext-cluster" && cmd != "calibrate" && cmd != "all" && *shards != 0 {
-		return fmt.Errorf("-shards applies only to the ext-fleet, ext-attr, ext-cluster and calibrate experiments")
+	if cmd != "ext-fleet" && cmd != "ext-attr" && cmd != "ext-cluster" && cmd != "all" && *shards != 0 {
+		return fmt.Errorf("-shards applies only to the ext-fleet, ext-attr and ext-cluster experiments")
 	}
 	if *jsonPath != "" && cmd != "calibrate" {
 		return fmt.Errorf("-json applies only to the calibrate experiment")
@@ -108,7 +107,7 @@ func run(args []string) error {
 			return err
 		}
 		defer closeFn()
-		return runTrace(opts, *quick, w)
+		return runTrace(opts, w)
 	default:
 		w, closeFn, err := openOut(*out)
 		if err != nil {
@@ -176,16 +175,8 @@ func runAll(opts experiments.Options, dir string) error {
 // output is the long-form attribution CSV (or, with -summary, the
 // human digest); -trace adds the Perfetto file whose per-invocation
 // tracks the summary's exemplar IDs point into.
-func runTrace(opts experiments.Options, quick bool, w io.Writer) error {
-	o := experiments.DefaultAttrTraceOptions()
-	if quick {
-		o.Window = 20 * sim.Second
-		o.TraceFunctions = 200
-	}
-	if opts.Seed != 0 {
-		o.TraceSeed = opts.Seed
-	}
-	o.Trace = opts.Trace
+func runTrace(opts experiments.Options, w io.Writer) error {
+	o := experiments.AttrTraceOptions{ReplayProfile: opts.ReplayProfile(), Trace: opts.Trace}
 	if opts.Summary {
 		o.Summary = w
 	} else {

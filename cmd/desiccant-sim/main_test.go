@@ -42,6 +42,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"table1", "-bogusflag"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	// calibrate runs no sharded engine, so -shards would be a no-op.
+	if err := run([]string{"calibrate", "-quick", "-shards", "2"}); err == nil {
+		t.Fatal("calibrate -shards accepted")
+	}
 }
 
 func TestRunList(t *testing.T) {

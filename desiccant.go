@@ -131,9 +131,7 @@ func (s *Simulation) Close() {
 // arrival rate, and schedules arrivals over [from, to) at the given
 // scale factor. It returns the number of requests scheduled.
 func (s *Simulation) ReplayTrace(seed uint64, baseRate float64, from, to Time, scale float64) int {
-	tr := trace.Generate(trace.GenConfig{Seed: seed, Functions: 2000})
-	as := trace.Match(tr, workload.All())
-	trace.NormalizeRate(as, baseRate)
+	as := trace.Population(seed, 2000, nil, 0, baseRate)
 	return trace.NewReplayer(s.Platform, as, seed+1).Schedule(from, to, scale)
 }
 

@@ -19,7 +19,6 @@ import (
 	"desiccant/internal/faas"
 	"desiccant/internal/sim"
 	"desiccant/internal/trace"
-	"desiccant/internal/workload"
 )
 
 const (
@@ -29,9 +28,7 @@ const (
 )
 
 func main() {
-	tr := trace.Generate(trace.GenConfig{Seed: 11, Functions: 1000})
-	assignments := trace.Match(tr, workload.All())
-	trace.NormalizeRate(assignments, 2.2)
+	assignments := trace.Population(11, 1000, nil, 0, 2.2)
 
 	fmt.Printf("%-10s %12s %12s %10s %10s %10s %12s\n",
 		"setup", "coldboot/req", "throughput", "p50(ms)", "p99(ms)", "evictions", "cached@end")

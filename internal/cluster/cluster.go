@@ -97,12 +97,7 @@ func Run(o Options) (*Result, error) {
 		}
 	}
 
-	tr := trace.Generate(trace.GenConfig{Seed: o.TraceSeed, Functions: o.TraceFunctions})
-	assignments := trace.Match(tr, workload.All())
-	if o.ZipfSkew > 0 {
-		trace.ApplyZipf(assignments, o.ZipfSkew, o.TraceSeed+3)
-	}
-	trace.NormalizeRate(assignments, o.BaseRate)
+	assignments := trace.Population(o.TraceSeed, o.TraceFunctions, nil, o.ZipfSkew, o.BaseRate)
 	rp := trace.NewReplayer(c.router, assignments, o.TraceSeed+1)
 	rp.Schedule(0, end, o.Scale)
 

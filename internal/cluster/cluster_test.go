@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -214,6 +215,31 @@ func TestUnknownPolicyAndMode(t *testing.T) {
 	o.Mode = "hibernate"
 	if _, err := Run(o); err == nil {
 		t.Fatal("unknown mode accepted")
+	}
+}
+
+// TestRejectsBadTraceOptions: each of these used to panic deep inside
+// faas or trace; Run must return an error instead.
+func TestRejectsBadTraceOptions(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(*Options)
+	}{
+		{"zero cache", func(o *Options) { o.CacheBytes = 0 }},
+		{"zero trace functions", func(o *Options) { o.TraceFunctions = 0 }},
+		{"fewer trace functions than workloads", func(o *Options) { o.TraceFunctions = 5 }},
+		{"negative scale", func(o *Options) { o.Scale = -1 }},
+		{"zero scale", func(o *Options) { o.Scale = 0 }},
+		{"NaN scale", func(o *Options) { o.Scale = math.NaN() }},
+		{"infinite scale", func(o *Options) { o.Scale = math.Inf(1) }},
+		{"zero base rate", func(o *Options) { o.BaseRate = 0 }},
+		{"NaN base rate", func(o *Options) { o.BaseRate = math.NaN() }},
+	} {
+		o := quickOptions(PolicyPinned)
+		c.mutate(&o)
+		if _, err := Run(o); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 

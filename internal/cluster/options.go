@@ -14,11 +14,13 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"desiccant/internal/core"
 	"desiccant/internal/faas"
 	"desiccant/internal/obs"
 	"desiccant/internal/sim"
+	"desiccant/internal/workload"
 )
 
 // Migration configures the router's hot-node relief valve. When a
@@ -153,6 +155,19 @@ func (o Options) withDefaults() (Options, error) {
 	if o.RouteLatency <= 0 {
 		return o, fmt.Errorf("cluster: need a positive route latency, got %v", o.RouteLatency)
 	}
+	if o.CacheBytes <= 0 {
+		return o, fmt.Errorf("cluster: need a positive per-node cache, got %d bytes", o.CacheBytes)
+	}
+	if specs := len(workload.All()); o.TraceFunctions < specs {
+		return o, fmt.Errorf("cluster: need at least %d trace functions to match the %d workloads, got %d",
+			specs, specs, o.TraceFunctions)
+	}
+	if !positiveFinite(o.Scale) {
+		return o, fmt.Errorf("cluster: need a positive finite scale factor, got %v", o.Scale)
+	}
+	if !positiveFinite(o.BaseRate) {
+		return o, fmt.Errorf("cluster: need a positive finite base rate, got %v", o.BaseRate)
+	}
 	if !knownPolicy(o.Policy) {
 		return o, fmt.Errorf("cluster: unknown policy %q (want one of %v)", o.Policy, PolicyNames)
 	}
@@ -193,6 +208,10 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	return o, nil
 }
+
+// positiveFinite reports whether v is a usable rate or scale: NaN
+// fails every comparison, so it is rejected along with v <= 0 and +Inf.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // dynamic reports whether routing happens at sim time on the router
 // domain (placement consults the live pressure view, requests pay the

@@ -17,9 +17,9 @@ import (
 func quickAttrOptions() AttrOptions {
 	o := DefaultAttrOptions()
 	o.Modes = []string{"reclaim"}
-	o.Machines = 2
-	o.Window = 15 * sim.Second
-	o.TraceFunctions = 120
+	o.Cluster.Nodes = 2
+	o.Cluster.Window = 15 * sim.Second
+	o.Cluster.TraceFunctions = 120
 	return o
 }
 
@@ -46,13 +46,13 @@ func attrExports(t *testing.T, o AttrOptions) (csv, summary []byte) {
 // engine self-metrics — are byte-identical at -shards 1, 2, and 4.
 func TestAttrShardInvariance(t *testing.T) {
 	o := quickAttrOptions()
-	o.Shards = 1
+	o.Cluster.Shards = 1
 	wantCSV, wantSum := attrExports(t, o)
 	if len(wantCSV) == 0 || !bytes.Contains(wantCSV, []byte("total")) {
 		t.Fatalf("degenerate CSV:\n%.400s", wantCSV)
 	}
 	for _, shards := range []int{2, 4} {
-		o.Shards = shards
+		o.Cluster.Shards = shards
 		gotCSV, gotSum := attrExports(t, o)
 		if !bytes.Equal(gotCSV, wantCSV) {
 			t.Fatalf("shards=%d: attribution CSV diverges from shards=1 (%d vs %d bytes)",
@@ -98,7 +98,7 @@ func TestAttrSpanConservation(t *testing.T) {
 	}
 	// Machine IDs are recoverable from the span IDs.
 	for _, s := range m.Spans {
-		if mach := s.ID / 1_000_000_000; mach < 1 || mach > int64(quickAttrOptions().Machines) {
+		if mach := s.ID / 1_000_000_000; mach < 1 || mach > int64(quickAttrOptions().Cluster.Nodes) {
 			t.Fatalf("span %d maps to machine %d, outside the fleet", s.ID, mach)
 		}
 	}

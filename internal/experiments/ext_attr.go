@@ -10,13 +10,11 @@ import (
 	"desiccant/internal/obs"
 	invtrace "desiccant/internal/obs/trace"
 	"desiccant/internal/sim"
-	"desiccant/internal/trace"
-	"desiccant/internal/workload"
 )
 
 // AttrOptions parameterizes the causal-attribution experiment: a
-// sharded mini-fleet (router + Machines platforms) replayed once per
-// manager mode, with every invocation traced into a span and its
+// sharded mini-fleet (router + Cluster.Nodes platforms) replayed once
+// per manager mode, with every invocation traced into a span and its
 // latency decomposed into exact phases. The attribution outputs are
 // byte-identical at any -parallel/-shards setting — pinned by
 // TestAttrShardInvariance and the CI trace-smoke job.
@@ -25,44 +23,30 @@ type AttrOptions struct {
 	// Known modes: "vanilla" (no manager), "reclaim" (Desiccant),
 	// "swap" (the §5.6 swapping baseline).
 	Modes []string
-	// Machines is the number of worker machines (domains 1..Machines;
-	// domain 0 is the router).
-	Machines int
-	// Shards is the sharded engine's worker count; attribution output
-	// is byte-identical regardless.
-	Shards int
-	// RouteLatency is the modeled router-machine hop and the engine's
-	// conservative lookahead.
-	RouteLatency sim.Duration
-	// Window is the replayed duration; in-flight invocations drain
-	// after it closes so every span ends.
-	Window sim.Duration
-	// Scale is the trace scale factor.
-	Scale float64
-	// TraceFunctions is the synthetic trace's population size.
-	TraceFunctions int
-	// BaseRate pins the total arrival rate at scale 1, in req/s.
-	BaseRate float64
-	// TraceSeed seeds trace synthesis and replay.
-	TraceSeed uint64
-	// CacheBytes is each machine's instance cache size.
-	CacheBytes int64
+	// Cluster is the fleet every mode replays; each run sets its own
+	// Mode and ObserveNode. In-flight invocations drain after the
+	// window closes so every span ends.
+	Cluster cluster.Options
 }
 
-// DefaultAttrOptions returns a 4-machine fleet under the observe
-// experiment's trace profile, sweeping all three manager modes.
+// DefaultAttrOptions returns a 4-machine pinned fleet under the
+// observe experiment's trace profile, sweeping all three manager
+// modes.
 func DefaultAttrOptions() AttrOptions {
 	return AttrOptions{
-		Modes:          []string{"vanilla", "reclaim", "swap"},
-		Machines:       4,
-		Shards:         1,
-		RouteLatency:   2 * sim.Millisecond,
-		Window:         60 * sim.Second,
-		Scale:          15,
-		TraceFunctions: 400,
-		BaseRate:       2.2,
-		TraceSeed:      11,
-		CacheBytes:     2 << 30,
+		Modes: []string{"vanilla", "reclaim", "swap"},
+		Cluster: cluster.Options{
+			Nodes:          4,
+			Shards:         1,
+			RouteLatency:   2 * sim.Millisecond,
+			Window:         60 * sim.Second,
+			Scale:          15,
+			TraceFunctions: 400,
+			BaseRate:       2.2,
+			TraceSeed:      11,
+			CacheBytes:     2 << 30,
+			Policy:         cluster.PolicyPinned,
+		},
 	}
 }
 
@@ -112,39 +96,30 @@ func RunAttr(o AttrOptions) (*AttrResult, error) {
 	return res, nil
 }
 
-// runAttrMode is one pinned cluster.Run with a span builder on every
-// node's bus. Node d numbers its invocations from d·10⁹, so span IDs
-// are fleet-unique and MergeSpans is a concatenation plus a sort.
+// runAttrMode is one cluster.Run of the template in the given mode,
+// with a span builder on every node's bus. Node d numbers its
+// invocations from d·10⁹, so span IDs are fleet-unique and
+// MergeSpans is a concatenation plus a sort.
 func runAttrMode(o AttrOptions, mode string) (*AttrModeResult, error) {
 	var builders []*invtrace.Builder
 	var platforms []*faas.Platform
 	rec := obs.NewRecorder()
 	rec.Ignore(obs.EvEngineFire)
-	cr, err := cluster.Run(cluster.Options{
-		Nodes:          o.Machines,
-		Shards:         o.Shards,
-		RouteLatency:   o.RouteLatency,
-		Window:         o.Window,
-		Scale:          o.Scale,
-		TraceFunctions: o.TraceFunctions,
-		BaseRate:       o.BaseRate,
-		TraceSeed:      o.TraceSeed,
-		CacheBytes:     o.CacheBytes,
-		Policy:         cluster.PolicyPinned,
-		Mode:           mode,
-		ObserveNode: func(node int, _ *sim.Engine, bus *obs.Bus, p *faas.Platform, _ *core.Manager) {
-			b := invtrace.NewBuilder()
-			b.Attach(bus)
-			builders = append(builders, b)
-			if node == 0 {
-				// Machine 1 doubles as the Perfetto specimen: its events
-				// and spans are self-consistent (instance IDs are only
-				// unique per machine, so the trace covers exactly one).
-				bus.Subscribe(rec)
-			}
-			platforms = append(platforms, p)
-		},
-	})
+	co := o.Cluster
+	co.Mode = mode
+	co.ObserveNode = func(node int, _ *sim.Engine, bus *obs.Bus, p *faas.Platform, _ *core.Manager) {
+		b := invtrace.NewBuilder()
+		b.Attach(bus)
+		builders = append(builders, b)
+		if node == 0 {
+			// Machine 1 doubles as the Perfetto specimen: its events
+			// and spans are self-consistent (instance IDs are only
+			// unique per machine, so the trace covers exactly one).
+			bus.Subscribe(rec)
+		}
+		platforms = append(platforms, p)
+	}
+	cr, err := cluster.Run(co)
 	if err != nil {
 		return nil, err
 	}
@@ -212,24 +187,13 @@ func (r *AttrResult) WriteSummary(w io.Writer) error {
 }
 
 // AttrTraceOptions parameterizes the single-machine attribution run
-// behind the `desiccant-sim trace` subcommand: one Desiccant platform
-// replayed with the span builder attached, exporting whichever of the
-// attribution CSV, human summary, and Perfetto trace (with one track
-// per invocation) the caller wires up.
+// behind the `desiccant-sim trace` subcommand: the replay profile with
+// the span builder attached, exporting whichever of the attribution
+// CSV, human summary, and Perfetto trace (with one track per
+// invocation) the caller wires up. In-flight invocations drain after
+// the window so every span closes.
 type AttrTraceOptions struct {
-	// Scale is the trace scale factor.
-	Scale float64
-	// Window is the replayed duration (in-flight invocations drain
-	// afterwards so every span closes).
-	Window sim.Duration
-	// CacheBytes is the instance cache size.
-	CacheBytes int64
-	// TraceFunctions is the synthetic trace's population size.
-	TraceFunctions int
-	// BaseRate pins the total arrival rate at scale 1, in req/s.
-	BaseRate float64
-	// TraceSeed seeds trace synthesis and replay.
-	TraceSeed uint64
+	ReplayProfile
 
 	// CSV, when non-nil, receives the long-form attribution table.
 	CSV io.Writer
@@ -240,49 +204,14 @@ type AttrTraceOptions struct {
 	Trace io.Writer
 }
 
-// DefaultAttrTraceOptions matches the observe experiment's window so
-// the two exports describe the same replay.
-func DefaultAttrTraceOptions() AttrTraceOptions {
-	return AttrTraceOptions{
-		Scale:          15,
-		Window:         60 * sim.Second,
-		CacheBytes:     2 << 30,
-		TraceFunctions: 400,
-		BaseRate:       2.2,
-		TraceSeed:      11,
-	}
-}
-
 // RunAttrTrace replays one Desiccant machine with causal tracing on
 // and writes the requested attribution exports. Every export is a
 // deterministic function of the options.
 func RunAttrTrace(o AttrTraceOptions) error {
-	eng := sim.NewEngine()
-	bus := obs.NewBus(eng)
-	rec := obs.NewRecorder()
-	rec.Ignore(obs.EvEngineFire)
-	if o.Trace == nil {
-		rec.CountOnly()
-	}
-	bus.Subscribe(rec)
 	builder := invtrace.NewBuilder()
-	builder.Attach(bus)
-
-	pcfg := faas.DefaultConfig()
-	pcfg.CacheBytes = o.CacheBytes
-	pcfg.Events = bus
-	platform := faas.New(pcfg, eng)
-	mgr := core.Attach(platform, core.DefaultConfig())
-
-	tr := trace.Generate(trace.GenConfig{Seed: o.TraceSeed, Functions: o.TraceFunctions})
-	assignments := trace.Match(tr, workload.All())
-	trace.NormalizeRate(assignments, o.BaseRate)
-	end := sim.Time(o.Window)
-	rp := trace.NewReplayer(platform, assignments, o.TraceSeed+1)
-	rp.Schedule(0, end, o.Scale)
-
-	eng.RunUntil(end)
-	mgr.Stop()
+	r := newBusReplay(o.ReplayProfile, o.Trace != nil, builder)
+	r.run()
+	eng, end := r.eng, sim.Time(o.Window)
 	// Drain the in-flight tail so every span closes.
 	drainEnd := end
 	for i := 0; i < 240 && builder.OpenCount() > 0; i++ {
@@ -308,7 +237,7 @@ func RunAttrTrace(o AttrTraceOptions) error {
 		}
 	}
 	if o.Trace != nil {
-		if err := obs.WritePerfetto(o.Trace, rec.Events(), invtrace.NewPerfettoTracks(spans)); err != nil {
+		if err := obs.WritePerfetto(o.Trace, r.rec.Events(), invtrace.NewPerfettoTracks(spans)); err != nil {
 			return err
 		}
 	}

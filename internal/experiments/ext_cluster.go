@@ -16,26 +16,15 @@ import (
 // sweep fans out through the package's deterministic-collection pool
 // and the CSV is byte-identical at any -parallel/-shards setting.
 type ClusterSweepOptions struct {
-	// Nodes is the policy × mode table's fleet size.
-	Nodes int
-	// Shards is the sharded engine's worker count per sub-run.
-	Shards int
+	// Cluster is every sub-run's template. Its Nodes and CacheBytes
+	// size the policy × mode table; each cell sets its own Policy and
+	// Mode, and each grid point its own Nodes and CacheBytes.
+	Cluster cluster.Options
 	// Parallel bounds the sweep's worker pool (0 = GOMAXPROCS).
 	Parallel int
-	// Window, Scale, TraceFunctions, BaseRate, TraceSeed, CacheBytes
-	// and ZipfSkew mirror cluster.Options.
-	Window         sim.Duration
-	Scale          float64
-	TraceFunctions int
-	BaseRate       float64
-	TraceSeed      uint64
-	CacheBytes     int64
-	ZipfSkew       float64
 	// Policies × Modes spans the table.
 	Policies []string
 	Modes    []string
-	// Migration arms the relief valve for every dynamic cell.
-	Migration cluster.Migration
 	// GridNodes × GridCache spans the capacity grid, replayed under
 	// the garbage-aware policy in reclaim mode.
 	GridNodes []int
@@ -45,44 +34,36 @@ type ClusterSweepOptions struct {
 }
 
 // DefaultClusterSweepOptions returns the committed 16-node sweep over
-// every policy × mode, with a 16–64 node capacity grid.
+// every policy × mode, with migration armed for every dynamic cell and
+// a 16–64 node capacity grid.
 func DefaultClusterSweepOptions() ClusterSweepOptions {
 	return ClusterSweepOptions{
-		Nodes:          16,
-		Shards:         1,
-		Window:         60 * sim.Second,
-		Scale:          15,
-		TraceFunctions: 400,
-		BaseRate:       2.2,
-		TraceSeed:      11,
-		CacheBytes:     256 << 20,
-		ZipfSkew:       0.9,
-		Policies:       cluster.PolicyNames,
-		Modes:          cluster.Modes,
-		Migration:      cluster.DefaultMigration(),
-		GridNodes:      []int{16, 32, 64},
-		GridCache:      []int64{128 << 20, 256 << 20, 512 << 20},
-		SLOColdBoot:    0.3,
+		Cluster: cluster.Options{
+			Nodes:          16,
+			Shards:         1,
+			RouteLatency:   2 * sim.Millisecond,
+			Window:         60 * sim.Second,
+			Scale:          15,
+			TraceFunctions: 400,
+			BaseRate:       2.2,
+			TraceSeed:      11,
+			CacheBytes:     256 << 20,
+			ZipfSkew:       0.9,
+			Migration:      cluster.DefaultMigration(),
+		},
+		Policies:    cluster.PolicyNames,
+		Modes:       cluster.Modes,
+		GridNodes:   []int{16, 32, 64},
+		GridCache:   []int64{128 << 20, 256 << 20, 512 << 20},
+		SLOColdBoot: 0.3,
 	}
 }
 
-// clusterOptions builds one cell's cluster.Options.
+// clusterOptions builds one cell's cluster.Options from the template.
 func (o ClusterSweepOptions) clusterOptions(nodes int, cache int64, policy, mode string) cluster.Options {
-	return cluster.Options{
-		Nodes:          nodes,
-		Shards:         o.Shards,
-		RouteLatency:   2 * sim.Millisecond,
-		Window:         o.Window,
-		Scale:          o.Scale,
-		TraceFunctions: o.TraceFunctions,
-		BaseRate:       o.BaseRate,
-		TraceSeed:      o.TraceSeed,
-		CacheBytes:     cache,
-		ZipfSkew:       o.ZipfSkew,
-		Policy:         policy,
-		Mode:           mode,
-		Migration:      o.Migration,
-	}
+	c := o.Cluster
+	c.Nodes, c.CacheBytes, c.Policy, c.Mode = nodes, cache, policy, mode
+	return c
 }
 
 // ClusterCell is one policy × mode replay of the table.
@@ -127,7 +108,7 @@ func RunClusterSweep(o ClusterSweepOptions) (*ClusterSweepResult, error) {
 	}
 	cells, err := runIndexed(o.Parallel, len(keys), func(i int) (ClusterCell, error) {
 		k := keys[i]
-		res, err := cluster.Run(o.clusterOptions(o.Nodes, o.CacheBytes, k.policy, k.mode))
+		res, err := cluster.Run(o.clusterOptions(o.Cluster.Nodes, o.Cluster.CacheBytes, k.policy, k.mode))
 		if err != nil {
 			return ClusterCell{}, fmt.Errorf("cell %s/%s: %w", k.policy, k.mode, err)
 		}
@@ -164,7 +145,7 @@ func RunClusterSweep(o ClusterSweepOptions) (*ClusterSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterSweepResult{Nodes: o.Nodes, Cells: cells, Grid: grid, SLO: o.SLOColdBoot}, nil
+	return &ClusterSweepResult{Nodes: o.Cluster.Nodes, Cells: cells, Grid: grid, SLO: o.SLOColdBoot}, nil
 }
 
 // WriteCSV renders the policy × mode table followed by the capacity

@@ -26,10 +26,10 @@ func TestFleetGoldenPreRefactor(t *testing.T) {
 
 func quickSweepOptions() ClusterSweepOptions {
 	o := DefaultClusterSweepOptions()
-	o.Nodes = 4
-	o.Window = 10 * sim.Second
-	o.TraceFunctions = 120
-	o.CacheBytes = 128 << 20
+	o.Cluster.Nodes = 4
+	o.Cluster.Window = 10 * sim.Second
+	o.Cluster.TraceFunctions = 120
+	o.Cluster.CacheBytes = 128 << 20
 	o.Modes = []string{"vanilla", "reclaim"}
 	o.GridNodes = []int{2, 4}
 	o.GridCache = []int64{64 << 20, 128 << 20}
@@ -54,7 +54,7 @@ func sweepCSV(t testing.TB, o ClusterSweepOptions) string {
 func TestClusterSweepParallelShardsInvariance(t *testing.T) {
 	o := quickSweepOptions()
 	o.Parallel = 1
-	o.Shards = 1
+	o.Cluster.Shards = 1
 	want := sweepCSV(t, o)
 	for _, parallel := range []int{1, 8} {
 		for _, shards := range []int{1, 4, 8} {
@@ -62,7 +62,7 @@ func TestClusterSweepParallelShardsInvariance(t *testing.T) {
 				continue
 			}
 			o.Parallel = parallel
-			o.Shards = shards
+			o.Cluster.Shards = shards
 			if got := sweepCSV(t, o); got != want {
 				t.Fatalf("parallel=%d shards=%d diverged from serial:\n%s\nserial:\n%s",
 					parallel, shards, got, want)

@@ -6,9 +6,6 @@ import (
 
 	"desiccant/internal/core"
 	"desiccant/internal/faas"
-	"desiccant/internal/sim"
-	"desiccant/internal/trace"
-	"desiccant/internal/workload"
 )
 
 // PrewarmRow is one 2×2 cell of the prewarm/Desiccant composition
@@ -48,34 +45,17 @@ func RunPrewarm(opts Fig9Options, scale float64) (*PrewarmResult, error) {
 	grid := []cell{{false, false}, {false, true}, {true, false}, {true, true}}
 	rows, err := runIndexed(opts.Parallel, len(grid), func(i int) (PrewarmRow, error) {
 		prewarm, desiccant := grid[i].prewarm, grid[i].desiccant
-		eng := sim.NewEngine()
 		pcfg := faas.DefaultConfig()
 		pcfg.CacheBytes = opts.CacheBytes
 		if prewarm {
 			pcfg.PrewarmPerLanguage = 2
 		}
-		platform := faas.New(pcfg, eng)
-		var mgr *core.Manager
+		var mcfg *core.Config
 		if desiccant {
-			mgr = core.Attach(platform, core.DefaultConfig())
+			c := core.DefaultConfig()
+			mcfg = &c
 		}
-
-		tr := trace.Generate(trace.GenConfig{Seed: opts.TraceSeed, Functions: opts.TraceFunctions})
-		assignments := trace.Match(tr, workload.All())
-		trace.NormalizeRate(assignments, opts.BaseRate)
-
-		warmEnd := sim.Time(opts.Warmup)
-		replayEnd := warmEnd.Add(opts.Replay)
-		rp := trace.NewReplayer(platform, assignments, opts.TraceSeed+1)
-		rp.Schedule(0, warmEnd, opts.WarmupScale)
-		rp.Schedule(warmEnd, replayEnd, scale)
-
-		eng.RunUntil(warmEnd)
-		platform.ResetStats()
-		eng.RunUntil(replayEnd)
-		if mgr != nil {
-			mgr.Stop()
-		}
+		platform := replayCell(opts, scale, pcfg, mcfg)
 
 		st := platform.Stats()
 		row := PrewarmRow{

@@ -6,9 +6,6 @@ import (
 
 	"desiccant/internal/core"
 	"desiccant/internal/faas"
-	"desiccant/internal/sim"
-	"desiccant/internal/trace"
-	"desiccant/internal/workload"
 )
 
 // SnapStartRow is one setup's measurement in the extension experiment.
@@ -40,34 +37,15 @@ func RunSnapStart(opts Fig9Options, scale float64) (*SnapStartResult, error) {
 	setups := []string{"vanilla", "desiccant", "snapstart"}
 	rows, err := runIndexed(opts.Parallel, len(setups), func(i int) (SnapStartRow, error) {
 		setup := setups[i]
-		eng := sim.NewEngine()
 		pcfg := faas.DefaultConfig()
 		pcfg.CacheBytes = opts.CacheBytes
-		if setup == "snapstart" {
-			pcfg.Snapshot = true
-		}
-		platform := faas.New(pcfg, eng)
-		var mgr *core.Manager
+		pcfg.Snapshot = setup == "snapstart"
+		var mcfg *core.Config
 		if setup == "desiccant" {
-			mgr = core.Attach(platform, core.DefaultConfig())
+			c := core.DefaultConfig()
+			mcfg = &c
 		}
-
-		tr := trace.Generate(trace.GenConfig{Seed: opts.TraceSeed, Functions: opts.TraceFunctions})
-		assignments := trace.Match(tr, workload.All())
-		trace.NormalizeRate(assignments, opts.BaseRate)
-
-		warmEnd := sim.Time(opts.Warmup)
-		replayEnd := warmEnd.Add(opts.Replay)
-		rp := trace.NewReplayer(platform, assignments, opts.TraceSeed+1)
-		rp.Schedule(0, warmEnd, opts.WarmupScale)
-		rp.Schedule(warmEnd, replayEnd, scale)
-
-		eng.RunUntil(warmEnd)
-		platform.ResetStats()
-		eng.RunUntil(replayEnd)
-		if mgr != nil {
-			mgr.Stop()
-		}
+		platform := replayCell(opts, scale, pcfg, mcfg)
 
 		st := platform.Stats()
 		row := SnapStartRow{

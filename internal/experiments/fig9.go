@@ -127,12 +127,7 @@ func (r *Fig9Result) Point(s Setup, scale float64) (Fig9Point, bool) {
 func RunFig9(opts Fig9Options) (*Fig9Result, error) {
 	setups := AllSetups()
 	points, err := runIndexed(opts.Parallel, len(opts.Scales)*len(setups), func(i int) (Fig9Point, error) {
-		scale, setup := opts.Scales[i/len(setups)], setups[i%len(setups)]
-		p, err := runTraceCell(setup, scale, opts)
-		if err != nil {
-			return Fig9Point{}, fmt.Errorf("fig9 %s@%.0f: %w", setup, scale, err)
-		}
-		return p, nil
+		return runTraceCell(setups[i%len(setups)], opts.Scales[i/len(setups)], opts), nil
 	})
 	if err != nil {
 		return nil, err
@@ -140,33 +135,20 @@ func RunFig9(opts Fig9Options) (*Fig9Result, error) {
 	return &Fig9Result{Points: points}, nil
 }
 
-// runTraceCell measures one (setup, scale) cell.
-func runTraceCell(setup Setup, scale float64, opts Fig9Options) (Fig9Point, error) {
+// replayCell is the single-machine trace replay every fig9-style
+// experiment measures: a pcfg platform (with a Desiccant manager when
+// mcfg is non-nil) warmed up on the trace at WarmupScale for Warmup,
+// its statistics reset, then replayed at scale for Replay. The
+// returned platform's stats cover the replay window only.
+func replayCell(opts Fig9Options, scale float64, pcfg faas.Config, mcfg *core.Config) *faas.Platform {
 	eng := sim.NewEngine()
-	pcfg := faas.DefaultConfig()
-	pcfg.CacheBytes = opts.CacheBytes
-	if setup == SetupEager {
-		pcfg.Policy = faas.PolicyEager
-	}
 	platform := faas.New(pcfg, eng)
-
 	var mgr *core.Manager
-	if setup == SetupDesiccant {
-		mcfg := core.DefaultConfig()
-		if opts.ManagerConfig != nil {
-			mcfg = *opts.ManagerConfig
-		}
-		mgr = core.Attach(platform, mcfg)
+	if mcfg != nil {
+		mgr = core.Attach(platform, *mcfg)
 	}
 
-	specs := opts.Specs
-	if specs == nil {
-		specs = workload.All()
-	}
-	tr := trace.Generate(trace.GenConfig{Seed: opts.TraceSeed, Functions: opts.TraceFunctions})
-	assignments := trace.Match(tr, specs)
-	trace.NormalizeRate(assignments, opts.BaseRate)
-
+	assignments := trace.Population(opts.TraceSeed, opts.TraceFunctions, opts.Specs, 0, opts.BaseRate)
 	warmEnd := sim.Time(opts.Warmup)
 	replayEnd := warmEnd.Add(opts.Replay)
 	rp := trace.NewReplayer(platform, assignments, opts.TraceSeed+1)
@@ -179,6 +161,25 @@ func runTraceCell(setup Setup, scale float64, opts Fig9Options) (Fig9Point, erro
 	if mgr != nil {
 		mgr.Stop()
 	}
+	return platform
+}
+
+// runTraceCell measures one (setup, scale) cell.
+func runTraceCell(setup Setup, scale float64, opts Fig9Options) Fig9Point {
+	pcfg := faas.DefaultConfig()
+	pcfg.CacheBytes = opts.CacheBytes
+	if setup == SetupEager {
+		pcfg.Policy = faas.PolicyEager
+	}
+	var mcfg *core.Config
+	if setup == SetupDesiccant {
+		c := core.DefaultConfig()
+		if opts.ManagerConfig != nil {
+			c = *opts.ManagerConfig
+		}
+		mcfg = &c
+	}
+	platform := replayCell(opts, scale, pcfg, mcfg)
 
 	st := platform.Stats()
 	replaySec := opts.Replay.Seconds()
@@ -200,7 +201,7 @@ func runTraceCell(setup Setup, scale float64, opts Fig9Options) (Fig9Point, erro
 		point.P95 = st.Latency.Percentile(95)
 		point.P99 = st.Latency.Percentile(99)
 	}
-	return point, nil
+	return point
 }
 
 // WriteCSV renders Figure 9's three panels.

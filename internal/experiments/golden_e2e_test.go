@@ -16,6 +16,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -105,4 +107,36 @@ func TestGoldenE2E(t *testing.T) {
 	if !bytes.Equal(chaosp1, chaosp4) {
 		t.Fatal("chaos zero-intensity CSV differs between -parallel 1 and 4")
 	}
+}
+
+// TestSingleMachineGoldenPreRefactor pins the single-machine trace
+// replays across commits: ext-snapstart, ext-prewarm, observe (snapshot
+// and summary) and the trace subcommand's attribution CSV, all in
+// quick mode. The goldens were captured before these runs moved onto
+// one shared replay cell; the CSV of the trace subcommand is ~159 KB,
+// so its golden is the SHA-256.
+func TestSingleMachineGoldenPreRefactor(t *testing.T) {
+	for _, c := range []struct {
+		name, golden string
+		opts         Options
+	}{
+		{"ext-snapstart", "golden_snapstart_quick.csv", Options{Quick: true}},
+		{"ext-prewarm", "golden_prewarm_quick.csv", Options{Quick: true}},
+		{"observe", "golden_observe_quick.csv", Options{Quick: true}},
+		{"observe", "golden_observe_summary_quick.txt", Options{Quick: true, Summary: true}},
+	} {
+		var buf bytes.Buffer
+		if err := Run(c.name, &buf, c.opts); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkE2EGolden(t, c.golden, buf.Bytes())
+	}
+
+	// The trace subcommand's quick profile.
+	var csv bytes.Buffer
+	if err := RunAttrTrace(AttrTraceOptions{ReplayProfile: Options{Quick: true}.ReplayProfile(), CSV: &csv}); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(csv.Bytes())
+	checkE2EGolden(t, "golden_trace_quick.csv.sha256", []byte(hex.EncodeToString(sum[:])+"\n"))
 }

@@ -9,13 +9,12 @@ import (
 	"desiccant/internal/obs"
 	"desiccant/internal/sim"
 	"desiccant/internal/trace"
-	"desiccant/internal/workload"
 )
 
-// ObserveOptions parameterizes the instrumented replay: one Desiccant
-// cell of the fig9 trace experiment with the full observability stack
-// attached — event recorder, metrics collector, and periodic sampler.
-type ObserveOptions struct {
+// ReplayProfile is the single-machine Desiccant trace replay behind
+// the observe experiment and the trace subcommand, so the two exports
+// describe the same run.
+type ReplayProfile struct {
 	// Scale is the trace scale factor.
 	Scale float64
 	// Window is the replayed duration.
@@ -28,6 +27,93 @@ type ObserveOptions struct {
 	BaseRate float64
 	// TraceSeed seeds trace synthesis and replay.
 	TraceSeed uint64
+}
+
+// DefaultReplayProfile returns a window big enough to show cold
+// boots, freezes, manager activations, and reclamations on one track.
+func DefaultReplayProfile() ReplayProfile {
+	return ReplayProfile{
+		Scale:          15,
+		Window:         60 * sim.Second,
+		CacheBytes:     2 << 30,
+		TraceFunctions: 400,
+		BaseRate:       2.2,
+		TraceSeed:      11,
+	}
+}
+
+// ReplayProfile returns DefaultReplayProfile shrunk for Quick and
+// reseeded by Seed.
+func (o Options) ReplayProfile() ReplayProfile {
+	p := DefaultReplayProfile()
+	if o.Quick {
+		p.Window = 20 * sim.Second
+		p.TraceFunctions = 200
+	}
+	if o.Seed != 0 {
+		p.TraceSeed = o.Seed
+	}
+	return p
+}
+
+// busReplay is a ReplayProfile wired for observation: one Desiccant
+// platform publishing on an event bus, with a recorder subscribed.
+type busReplay struct {
+	prof     ReplayProfile
+	eng      *sim.Engine
+	rec      *obs.Recorder
+	platform *faas.Platform
+	mgr      *core.Manager
+}
+
+// newBusReplay wires the machine. The recorder keeps event payloads
+// only when keepEvents is set (a Perfetto export reads them); subs
+// subscribe after it and before the manager attaches, so they see the
+// manager's first event.
+func newBusReplay(prof ReplayProfile, keepEvents bool, subs ...obs.Subscriber) *busReplay {
+	eng := sim.NewEngine()
+	bus := obs.NewBus(eng)
+	rec := obs.NewRecorder()
+	// Engine fires are counted (engine.fired, engine.queue_depth) but
+	// not stored: one instant per simulated event would dwarf the
+	// lifecycle tracks the trace exists to show.
+	rec.Ignore(obs.EvEngineFire)
+	if !keepEvents {
+		// Nothing reads the event payloads, so keep only the counts.
+		// Summaries are unchanged — Len and CountByKind report as if
+		// storage were on — and memory stays constant no matter how
+		// many invocations replay.
+		rec.CountOnly()
+	}
+	bus.Subscribe(rec)
+	for _, s := range subs {
+		bus.Subscribe(s)
+	}
+	pcfg := faas.DefaultConfig()
+	pcfg.CacheBytes = prof.CacheBytes
+	pcfg.Events = bus
+	platform := faas.New(pcfg, eng)
+	return &busReplay{prof: prof, eng: eng, rec: rec, platform: platform,
+		mgr: core.Attach(platform, core.DefaultConfig())}
+}
+
+// run replays the trace over [0, Window) and stops the manager.
+// There is no warmup: an arrival can land at t=0, and a stats reset
+// there would erase it.
+func (r *busReplay) run() {
+	p := r.prof
+	assignments := trace.Population(p.TraceSeed, p.TraceFunctions, nil, 0, p.BaseRate)
+	end := sim.Time(p.Window)
+	trace.NewReplayer(r.platform, assignments, p.TraceSeed+1).Schedule(0, end, p.Scale)
+	r.eng.RunUntil(end)
+	r.mgr.Stop()
+}
+
+// ObserveOptions parameterizes the instrumented replay: the replay
+// profile with the full observability stack attached — event
+// recorder, metrics collector, and periodic sampler.
+type ObserveOptions struct {
+	ReplayProfile
 	// SampleEvery is the metrics sampling cadence.
 	SampleEvery sim.Duration
 
@@ -42,49 +128,21 @@ type ObserveOptions struct {
 	Snapshot io.Writer
 }
 
-// DefaultObserveOptions returns a window big enough to show cold
-// boots, freezes, manager activations, and reclamations on one track.
+// DefaultObserveOptions samples the default replay profile twice per
+// simulated second.
 func DefaultObserveOptions() ObserveOptions {
-	return ObserveOptions{
-		Scale:          15,
-		Window:         60 * sim.Second,
-		CacheBytes:     2 << 30,
-		TraceFunctions: 400,
-		BaseRate:       2.2,
-		TraceSeed:      11,
-		SampleEvery:    500 * sim.Millisecond,
-	}
+	return ObserveOptions{ReplayProfile: DefaultReplayProfile(), SampleEvery: 500 * sim.Millisecond}
 }
 
-// RunObserve replays one Desiccant trace cell with the observability
-// layer attached and writes whichever exports the options request.
+// RunObserve replays the profile with the observability layer
+// attached and writes whichever exports the options request.
 // Identical options produce byte-identical exports: every writer sees
 // only sim-time-stamped, deterministically ordered data.
 func RunObserve(o ObserveOptions) error {
-	eng := sim.NewEngine()
-	bus := obs.NewBus(eng)
-	rec := obs.NewRecorder()
-	// Engine fires are counted (engine.fired, engine.queue_depth) but
-	// not stored: one instant per simulated event would dwarf the
-	// lifecycle tracks the trace exists to show.
-	rec.Ignore(obs.EvEngineFire)
-	if o.Trace == nil {
-		// No trace export requested: nothing reads the event payloads,
-		// so keep only the counts. Summary output is unchanged — Len and
-		// CountByKind report as if storage were on — and memory stays
-		// constant no matter how many invocations replay.
-		rec.CountOnly()
-	}
 	reg := obs.NewRegistry()
-	bus.Subscribe(rec)
-	bus.Subscribe(obs.NewCollector(reg))
-	obs.InstrumentEngine(bus, eng)
-
-	pcfg := faas.DefaultConfig()
-	pcfg.CacheBytes = o.CacheBytes
-	pcfg.Events = bus
-	platform := faas.New(pcfg, eng)
-	mgr := core.Attach(platform, core.DefaultConfig())
+	r := newBusReplay(o.ReplayProfile, o.Trace != nil, obs.NewCollector(reg))
+	eng, platform := r.eng, r.platform
+	obs.InstrumentEngine(platform.Events(), eng)
 
 	// Gauges sourced outside the event stream, refreshed per sample.
 	memFrac := reg.Gauge("platform.memory_used_frac")
@@ -107,19 +165,11 @@ func RunObserve(o ObserveOptions) error {
 		swapOuts.Set(float64(pc.SwapOuts))
 	}
 
-	tr := trace.Generate(trace.GenConfig{Seed: o.TraceSeed, Functions: o.TraceFunctions})
-	assignments := trace.Match(tr, workload.All())
-	trace.NormalizeRate(assignments, o.BaseRate)
-	end := sim.Time(o.Window)
-	rp := trace.NewReplayer(platform, assignments, o.TraceSeed+1)
-	rp.Schedule(0, end, o.Scale)
-
-	eng.RunUntil(end)
-	mgr.Stop()
+	r.run()
 	sampler.Stop()
 
 	if o.Trace != nil {
-		if err := obs.WritePerfetto(o.Trace, rec.Events()); err != nil {
+		if err := obs.WritePerfetto(o.Trace, r.rec.Events()); err != nil {
 			return err
 		}
 	}
@@ -129,7 +179,7 @@ func RunObserve(o ObserveOptions) error {
 		}
 	}
 	if o.Summary != nil {
-		if err := obs.WriteSummary(o.Summary, rec, reg, eng.Now()); err != nil {
+		if err := obs.WriteSummary(o.Summary, r.rec, reg, eng.Now()); err != nil {
 			return err
 		}
 	}

@@ -36,8 +36,9 @@ type Options struct {
 	// intensity instead of sweeping the default axis.
 	Intensity float64
 	// Shards, when positive, sets the sharded engine's worker count
-	// for experiments that run on it (ext-fleet). Results are
-	// byte-identical at any setting; only wall-clock time changes.
+	// for experiments that run on it (ext-fleet, ext-attr,
+	// ext-cluster). Results are byte-identical at any setting; only
+	// wall-clock time changes.
 	Shards int
 	// Validation, when non-nil, receives the machine-readable
 	// VALIDATION.json report (calibrate experiment only).
@@ -342,16 +343,16 @@ func init() {
 			Run: func(w io.Writer, opts Options) error {
 				o := DefaultAttrOptions()
 				if opts.Quick {
-					o.Machines = 2
-					o.Window = 20 * sim.Second
-					o.TraceFunctions = 200
+					o.Cluster.Nodes = 2
+					o.Cluster.Window = 20 * sim.Second
+					o.Cluster.TraceFunctions = 200
 					o.Modes = []string{"vanilla", "reclaim"}
 				}
 				if opts.Seed != 0 {
-					o.TraceSeed = opts.Seed
+					o.Cluster.TraceSeed = opts.Seed
 				}
 				if opts.Shards > 0 {
-					o.Shards = opts.Shards
+					o.Cluster.Shards = opts.Shards
 				}
 				res, err := RunAttr(o)
 				if err != nil {
@@ -375,19 +376,19 @@ func init() {
 			Run: func(w io.Writer, opts Options) error {
 				o := DefaultClusterSweepOptions()
 				if opts.Quick {
-					o.Nodes = 4
-					o.Window = 10 * sim.Second
-					o.TraceFunctions = 120
-					o.CacheBytes = 128 << 20
+					o.Cluster.Nodes = 4
+					o.Cluster.Window = 10 * sim.Second
+					o.Cluster.TraceFunctions = 120
+					o.Cluster.CacheBytes = 128 << 20
 					o.Modes = []string{"vanilla", "reclaim"}
 					o.GridNodes = []int{2, 4}
 					o.GridCache = []int64{64 << 20, 128 << 20}
 				}
 				if opts.Seed != 0 {
-					o.TraceSeed = opts.Seed
+					o.Cluster.TraceSeed = opts.Seed
 				}
 				if opts.Shards > 0 {
-					o.Shards = opts.Shards
+					o.Cluster.Shards = opts.Shards
 				}
 				o.Parallel = opts.Parallel
 				res, err := RunClusterSweep(o)
@@ -430,13 +431,7 @@ func init() {
 			Description: "instrumented Desiccant trace replay; supports -trace/-metrics/-summary exports",
 			Run: func(w io.Writer, opts Options) error {
 				o := DefaultObserveOptions()
-				if opts.Quick {
-					o.Window = 20 * sim.Second
-					o.TraceFunctions = 200
-				}
-				if opts.Seed != 0 {
-					o.TraceSeed = opts.Seed
-				}
+				o.ReplayProfile = opts.ReplayProfile()
 				o.Trace = opts.Trace
 				o.Metrics = opts.Metrics
 				if opts.Summary {

@@ -124,6 +124,11 @@ func New(cfg Config, eng *sim.Engine) *Platform {
 	if cfg.PerInstanceCPU <= 0 || cfg.CPUs < cfg.PerInstanceCPU {
 		panic("faas: invalid CPU configuration")
 	}
+	if cfg.Snapshot && cfg.PrewarmPerLanguage > 0 {
+		// Every snapshot boot is a restore; a stem cell would be popped,
+		// counted as a prewarm hit and destroyed unused.
+		panic("faas: Snapshot and PrewarmPerLanguage are mutually exclusive")
+	}
 	p := &Platform{
 		cfg:      cfg,
 		eng:      eng,
@@ -488,15 +493,11 @@ func (p *Platform) coldBoot(inv *invocation) {
 
 		var inst *container.Instance
 		var err error
-		if pw != nil && !p.cfg.Snapshot {
+		if pw != nil {
 			p.pendingAssign--
 			inst, err = pw.Assign(inv.spec, inv.stage, p.eng.Now())
 			p.scheduleReplenish(inv.spec.Language)
 		} else {
-			if pw != nil {
-				p.pendingAssign--
-				pw.Destroy() // snapshot mode took the cold path anyway
-			}
 			p.nextInstID++
 			inst, err = container.New(p.machine, p.nextInstID, inv.spec, inv.stage, p.eng.Now(), container.Options{
 				MemoryBudget:   p.cfg.InstanceBudget,

@@ -49,6 +49,20 @@ func TestSnapshotLatencyCarriesRestoreNotBoot(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsPrewarmPool: every snapshot boot is a restore, so
+// a stem-cell pool could only be drained unused; New refuses the mix.
+func TestSnapshotRejectsPrewarmPool(t *testing.T) {
+	cfg := testConfig()
+	cfg.Snapshot = true
+	cfg.PrewarmPerLanguage = 2
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Snapshot with a prewarm pool accepted")
+		}
+	}()
+	New(cfg, sim.NewEngine())
+}
+
 func TestPrewarmPoolServesAndReplenishes(t *testing.T) {
 	cfg := testConfig()
 	cfg.PrewarmPerLanguage = 2

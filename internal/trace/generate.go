@@ -200,6 +200,22 @@ func ApplyZipf(as []Assignment, skew float64, seed uint64) {
 	}
 }
 
+// Population is the replay experiments' trace pipeline: synthesize a
+// functions-entry trace from seed, match specs to it (nil means the
+// full Table 1 set), reshape popularity to Zipf(zipfSkew) with the
+// rank permutation seeded at seed+3 (skew 0 keeps the native
+// popularity), and pin the total base arrival rate to baseRate.
+// Replayers conventionally draw their arrivals from seed+1.
+func Population(seed uint64, functions int, specs []*workload.Spec, zipfSkew, baseRate float64) []Assignment {
+	if specs == nil {
+		specs = workload.All()
+	}
+	as := Match(Generate(GenConfig{Seed: seed, Functions: functions}), specs)
+	ApplyZipf(as, zipfSkew, seed+3)
+	NormalizeRate(as, baseRate)
+	return as
+}
+
 // NormalizeRate uniformly rescales the assignments' inter-arrival
 // times so the total base arrival rate equals target requests/second.
 // The experiment harness uses this to pin the scale-factor axis to the
