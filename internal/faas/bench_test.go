@@ -56,8 +56,8 @@ func BenchmarkInvocationPath(b *testing.B) {
 // TestTracingWarmPathAllocFree pins the tracing additions to zero
 // allocations when tracing is disabled. The per-invocation ID plumbing
 // rides the warm path — takeCached pops the instance, SetCurrentInvo
-// tags the shared invo cell the runtime observer reads, putBack
-// returns it — and all three are //lint:allocfree. The static lint
+// tags the shared invo cell the runtime observer reads, cache
+// puts it back — and all three are //lint:allocfree. The static lint
 // proves the bodies don't allocate; this test proves it dynamically on
 // a steady-state pool, so a future tracing change that sneaks an
 // allocation into the disabled-path (e.g. boxing the ID or logging per
@@ -83,13 +83,13 @@ func TestTracingWarmPathAllocFree(t *testing.T) {
 	if !found {
 		t.Fatal("no cached instance after warm invocation")
 	}
-	// One untimed round first so putBack's pool slice reaches its
+	// One untimed round first so cache's pool slice reaches its
 	// steady-state capacity (growth is amortized, not per-op).
 	warm := p.takeCached(key)
 	if warm == nil {
 		t.Fatal("takeCached returned nil on a warm pool")
 	}
-	p.putBack(key, warm)
+	p.cache(warm)
 	allocs := testing.AllocsPerRun(1000, func() {
 		inst := p.takeCached(key)
 		inst.SetCurrentInvo(42)
@@ -97,7 +97,7 @@ func TestTracingWarmPathAllocFree(t *testing.T) {
 			t.Fatal("invo cell lost the tag")
 		}
 		inst.SetCurrentInvo(0)
-		p.putBack(key, inst)
+		p.cache(inst)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm path with tracing disabled allocates %.1f allocs/op, want 0", allocs)

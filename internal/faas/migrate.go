@@ -51,14 +51,7 @@ func (p *Platform) DetachCached(inst *container.Instance, reason int64) (*worklo
 // does not fire onEviction, which is Desiccant's memory-pressure
 // signal; a hand-off frees memory without signaling pressure.
 func (p *Platform) detach(inst *container.Instance, reason int64) (*workload.Spec, int, bool) {
-	key := poolKey{inst.Spec.Name, inst.Stage}
-	pool := p.cached[key]
-	for i, q := range pool {
-		if q == inst {
-			p.cached[key] = append(pool[:i], pool[i+1:]...)
-			break
-		}
-	}
+	p.uncache(inst)
 	if p.bus != nil {
 		p.bus.Emit(obs.Event{Kind: obs.EvEvict, Inst: inst.ID, Name: inst.Spec.Name,
 			Bytes: inst.USS(), Aux: reason})

@@ -91,6 +91,11 @@ type Platform struct {
 	prewarm  map[runtime.Language][]*container.Prewarmed
 	cpuAvail float64
 
+	// occupancy sums the USS of every cached instance: an address
+	// space joins the ledger as it enters cached and leaves it as it
+	// leaves, so MemoryUsed is O(1).
+	occupancy osmem.Ledger
+
 	// inFlight tracks instances out of the cache for execution, and
 	// pendingAssign counts stem cells popped but not yet assigned —
 	// together with cached and prewarm they account for every live
@@ -273,7 +278,7 @@ func (p *Platform) tryStart(inv *invocation) bool {
 	key := poolKey{inv.spec.Name, inv.stage}
 	if inst := p.takeCached(key); inst != nil {
 		if p.cpuAvail < p.cfg.PerInstanceCPU {
-			p.putBack(key, inst)
+			p.cache(inst) // put it back
 			return false
 		}
 		p.acquireCPU(p.cfg.PerInstanceCPU)
@@ -291,14 +296,17 @@ func (p *Platform) tryStart(inv *invocation) bool {
 	return true
 }
 
-// putBack returns an instance taken from the cache after a failed
-// admission.
+// cache inserts a frozen instance into its pool and the occupancy
+// ledger: a fresh freeze, a staged or adopted instance, or one taken
+// back after a failed admission.
 //
 //lint:allocfree
-func (p *Platform) putBack(key poolKey, inst *container.Instance) {
+func (p *Platform) cache(inst *container.Instance) {
+	key := poolKey{inst.Spec.Name, inst.Stage}
 	// Pool growth amortizes: the slice reaches the pool's steady-state
 	// size within the warmup window and is reused thereafter.
 	p.cached[key] = append(p.cached[key], inst) //lint:allow allocfree
+	inst.AS.SetLedger(&p.occupancy)
 }
 
 // takeCached pops the most-recently-used cached instance for the key.
@@ -328,28 +336,23 @@ func (p *Platform) takeCached(key poolKey) *container.Instance {
 	// Removal shrinks: the result is one shorter than pool, so append
 	// writes into pool's own backing array and never grows it.
 	p.cached[key] = append(pool[:pick], pool[pick+1:]...) //lint:allow allocfree
+	inst.AS.SetLedger(nil)
 	return inst
 }
 
-// cachedUSS sums the actual memory consumption of all cached
-// instances — what OpenWhisk monitors to decide eviction, and what
-// Desiccant reduces to fit more instances in the cache.
-func (p *Platform) cachedUSS() int64 {
-	var sum int64
-	for _, pool := range p.cached {
-		for _, inst := range pool {
-			sum += inst.USS()
-		}
-	}
-	return sum
-}
-
 // MemoryUsed reports the instance cache's occupancy: the accumulated
-// USS of all frozen instances (what OpenWhisk monitors, §4.2).
-func (p *Platform) MemoryUsed() int64 { return p.cachedUSS() }
+// USS of all frozen instances — what OpenWhisk monitors to decide
+// eviction (§4.2), and what Desiccant reduces to fit more instances
+// in the cache. It reads the running ledger; the invariant checker
+// holds it equal to a rescan of CachedInstances.
+//
+//lint:allocfree
+func (p *Platform) MemoryUsed() int64 { return p.occupancy.Bytes() }
 
 // MemoryUsedFraction is MemoryUsed over the cache size — "the portion
 // of used memory of frozen instances", Desiccant's activation signal.
+//
+//lint:allocfree
 func (p *Platform) MemoryUsedFraction() float64 {
 	return float64(p.MemoryUsed()) / float64(p.cfg.CacheBytes)
 }
@@ -361,9 +364,10 @@ func (p *Platform) ensureCacheFits() {
 	if p.MemoryUsed() <= p.cfg.CacheBytes {
 		return
 	}
-	// Recompute after every eviction: destroying an instance can
+	// Re-read after every eviction: destroying an instance can
 	// *increase* the survivors' USS (library pages it shared become
-	// private to them), so incremental accounting would under-evict.
+	// private to them). The ledger sees that growth as it happens, so
+	// each re-read is O(1) and exact.
 	victims := p.cachedByLRU()
 	evicted := 0
 	for _, inst := range victims {
@@ -412,11 +416,24 @@ func (p *Platform) AddCached(inst *container.Instance) {
 	if inst.Status() != container.Frozen {
 		panic("faas: AddCached requires a frozen instance")
 	}
-	key := poolKey{inst.Spec.Name, inst.Stage}
-	p.cached[key] = append(p.cached[key], inst)
+	p.cache(inst)
 	p.noteFreeze(inst)
 	p.ensureCacheFits()
 	p.scheduleKeepAlive(inst)
+}
+
+// uncache removes a cached instance from its pool and the occupancy
+// ledger.
+func (p *Platform) uncache(inst *container.Instance) {
+	key := poolKey{inst.Spec.Name, inst.Stage}
+	pool := p.cached[key]
+	for i, q := range pool {
+		if q == inst {
+			p.cached[key] = append(pool[:i], pool[i+1:]...)
+			break
+		}
+	}
+	inst.AS.SetLedger(nil)
 }
 
 // noteFreeze emits the freeze event and fires the freeze hooks for an
@@ -446,14 +463,7 @@ func (p *Platform) IsCached(inst *container.Instance) bool {
 // to any in-flight reclamation: the stateless instance can always be
 // destroyed safely. reason is an obs.Evict* constant.
 func (p *Platform) evict(inst *container.Instance, reason int64) {
-	key := poolKey{inst.Spec.Name, inst.Stage}
-	pool := p.cached[key]
-	for i, q := range pool {
-		if q == inst {
-			p.cached[key] = append(pool[:i], pool[i+1:]...)
-			break
-		}
-	}
+	p.uncache(inst)
 	if p.bus != nil {
 		p.bus.Emit(obs.Event{Kind: obs.EvEvict, Inst: inst.ID, Name: inst.Spec.Name,
 			Bytes: inst.USS(), Aux: reason})
@@ -694,8 +704,7 @@ func (p *Platform) finishInstance(inst *container.Instance, kill bool) {
 		return
 	}
 	inst.Freeze(p.eng.Now())
-	key := poolKey{inst.Spec.Name, inst.Stage}
-	p.cached[key] = append(p.cached[key], inst)
+	p.cache(inst)
 	p.noteFreeze(inst)
 	p.ensureCacheFits()
 	p.scheduleKeepAlive(inst)

@@ -171,7 +171,7 @@ func TestTakeCachedDeprioritizesReclaiming(t *testing.T) {
 	if got := p.takeCached(key); got != lru {
 		t.Fatalf("takeCached picked %v over non-reclaiming %v", got, lru)
 	}
-	p.putBack(key, lru)
+	p.cache(lru)
 	lru.Reclaiming = true
 	// Everything mid-reclaim: thaw proceeds anyway, cutting one short.
 	if got := p.takeCached(key); got == nil {

@@ -208,9 +208,19 @@ func (c *Checker) checkSpans() {
 // checkPageConservation holds the OS's global counters equal to the
 // sum of what every address space believes it has: Σ RSS must equal
 // the machine's physical page count (no page double-counted or
-// double-freed), Σ Swap must equal swap occupancy, and each space's
-// smaps identities must be internally consistent.
+// double-freed), Σ Swap must equal swap occupancy, each space's
+// smaps identities must be internally consistent, and the platform's
+// running cache-occupancy ledger must equal Σ rescanned USS over the
+// cached instances.
 func (c *Checker) checkPageConservation() {
+	var rescanned int64
+	for _, inst := range c.platform.CachedInstances() {
+		rescanned += inst.AS.Usage().USS
+	}
+	if used := c.platform.MemoryUsed(); used != rescanned {
+		c.fail("cache occupancy: MemoryUsed %d != sum of rescanned cached USS %d", used, rescanned)
+	}
+
 	m := c.platform.Machine()
 	var rss, swap int64
 	for _, as := range m.AddressSpaces() {

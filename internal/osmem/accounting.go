@@ -87,8 +87,9 @@ func (u Usage) String() string {
 // RegionUsage computes accounting for one region. Anonymous regions
 // are O(1) (every resident page is private and dirty); file-backed
 // regions scan their pages but cache the result until either the
-// region mutates or the backing file's refcounts change — which keeps
-// platform-wide cache-occupancy queries cheap.
+// region mutates or the backing file's refcounts change, so repeated
+// smaps and PSS reads of an idle space stay cheap. USS alone never
+// needs this scan: AddressSpace.USS reads an exact running counter.
 func RegionUsage(r *Region) Usage {
 	if r.Kind == Anon {
 		bytes := r.resident * PageSize
@@ -165,8 +166,15 @@ func (as *AddressSpace) Usage() Usage {
 	return u
 }
 
-// USS returns the address space's unique set size in bytes.
-func (as *AddressSpace) USS() int64 { return as.Usage().USS }
+// USS returns the address space's unique set size in bytes. It reads
+// a counter maintained at every page transition — anon pages move
+// their own space's USS, file pages crossing refcount 0<->1 move the
+// touching space's, and 1<->2 crossings move the other holder's — so
+// it is O(1) and always equals Usage().USS, which rescans (the
+// oracle tests and Machine.Audit hold the two equal).
+//
+//lint:allocfree
+func (as *AddressSpace) USS() int64 { return as.ussPages * PageSize }
 
 // RSS returns the address space's resident set size in bytes.
 func (as *AddressSpace) RSS() int64 { return as.Usage().RSS }

@@ -88,6 +88,12 @@ type AddressSpace struct {
 	regions []*Region
 	dead    bool
 
+	// ussPages is the space's unique set size, kept exact at every
+	// residency or refcount change (see addUSS), so USS() is O(1).
+	// Every delta also lands on the attached ledger, if any.
+	ussPages int64 //lint:unit pages
+	ledger   *Ledger
+
 	minorFaults int64
 	majorFaults int64
 	faultCost   int64 // accumulated microseconds, drained by the caller
@@ -162,7 +168,139 @@ func (as *AddressSpace) MmapFile(name string, f *FileObject, offPages, pages int
 	}
 	as.nextVA += r.Bytes() + PageSize
 	as.regions = append(as.regions, r)
+	f.maps = append(f.maps, r)
 	return r
+}
+
+// Ledger sums the USS of the address spaces attached to it with
+// AddressSpace.SetLedger. It is kept exact by the same page-count
+// deltas that maintain each space's own counter, so reading it is
+// O(1) however many spaces it covers — the faas platform's
+// frozen-cache occupancy is one ledger.
+type Ledger struct {
+	pages int64 //lint:unit pages
+}
+
+// Bytes returns the summed USS of the attached spaces in bytes.
+//
+//lint:allocfree
+func (l *Ledger) Bytes() int64 { return l.pages * PageSize }
+
+// SetLedger moves the space's USS from its current ledger (if any) to
+// l (nil detaches). From then on every change to the space's USS also
+// lands on l.
+//
+//lint:allocfree
+func (as *AddressSpace) SetLedger(l *Ledger) {
+	if as.ledger == l {
+		return
+	}
+	if as.ledger != nil {
+		as.ledger.pages -= as.ussPages
+	}
+	if l != nil {
+		l.pages += as.ussPages
+	}
+	as.ledger = l
+}
+
+// addUSS moves the space's USS (and its ledger's) by d pages.
+//
+//lint:allocfree
+func (as *AddressSpace) addUSS(d int64) { //lint:unit d=pages
+	as.ussPages += d
+	if l := as.ledger; l != nil {
+		l.pages += d
+	}
+}
+
+// holds reports whether r has file page fp resident.
+//
+//lint:allocfree
+func (r *Region) holds(fp int64) bool { //lint:unit fp=pages
+	i := fp - r.foff
+	return i >= 0 && i < int64(len(r.pb)) && r.pb[i]&pageStateMask == pageResident
+}
+
+// soleHolder returns the region other than skip that has file page fp
+// resident, for a page whose refcount says exactly one such region
+// exists. The last match is tried first: a library's pages are almost
+// always held by the same few mappings, so the list walk is rare.
+//
+//lint:allocfree
+func (f *FileObject) soleHolder(skip *Region, fp int64) *Region { //lint:unit fp=pages
+	if h := f.last; h != nil && h != skip && h.holds(fp) {
+		return h
+	}
+	for _, q := range f.maps {
+		if q != skip && q.holds(fp) {
+			f.last = q
+			return q
+		}
+	}
+	panic(fmt.Sprintf("osmem: file %s page %d is refcounted but has no holder", f.Name, fp))
+}
+
+// shiftSole moves the USS of file pages [fp, end) by delta per page,
+// charging it to the page's holder other than skip — each page has
+// exactly one. delta is -1 when skip is becoming a second holder
+// (refcount 1->2) and +1 when skip just stopped being one (2->1). A
+// stretch of pages the same holder has resident costs one update.
+//
+//lint:allocfree
+func (f *FileObject) shiftSole(skip *Region, fp, end, delta int64) { //lint:unit fp=pages end=pages
+	for fp < end {
+		h := f.soleHolder(skip, fp)
+		pb := h.pb
+		i := fp - h.foff
+		lim := min(end-h.foff, int64(len(pb)))
+		j := i
+		for j < lim && pb[j]&pageStateMask == pageResident {
+			j = runEnd(pb, j, lim)
+		}
+		h.as.addUSS(delta * (j - i))
+		fp = h.foff + j
+	}
+}
+
+// addRefs moves r's holding of its file pages [i, j) by d: +1 when
+// the pages are about to become resident in r, -1 when they are about
+// to leave it. Refcounts change by d in runs of equal value, and USS
+// follows the crossings: a page going 0<->1 is unique to r, so r's
+// space gains or loses it; a page going 1<->2 is unique to its one
+// other holder while r does not hold it, so that holder's space loses
+// or gains it. Returns how many of the pages some other mapping had
+// resident beforehand — the page-cache hits, when d is +1.
+//
+//lint:allocfree
+func (r *Region) addRefs(i, j int64, d int32) int64 { //lint:unit i=pages j=pages ret=pages
+	f := r.file
+	refs := f.refs
+	end := r.foff + j
+	var own, hits int64
+	for x := r.foff + i; x < end; {
+		c := refs[x]
+		y := x + 1
+		for y < end && refs[y] == c {
+			y++
+		}
+		for z := x; z < y; z++ {
+			refs[z] = c + d
+		}
+		switch min(c, c+d) {
+		case 0:
+			own += y - x
+		case 1:
+			f.shiftSole(r, x, y, -int64(d))
+		}
+		if c > 0 {
+			hits += y - x
+		}
+		x = y
+	}
+	r.as.addUSS(int64(d) * own)
+	f.version++
+	return hits
 }
 
 // runEnd returns the end (exclusive) of the homogeneous run starting
@@ -258,10 +396,10 @@ func (r *Region) Touch(page, n int64, write bool) { //lint:unit page=pages n=pag
 // homogeneous run at a time and reports whether any page changed
 // (state or dirtiness) — the condition under which the usage cache
 // must drop. Batching is observable-identical to the per-page loop it
-// replaced: page transitions are independent, counters and fault
-// costs are sums over pages, and the file refcount version only ever
-// feeds equality checks, so bumping it once per call equals bumping
-// it once per page.
+// replaced: page transitions are independent, counters, fault costs
+// and USS are sums over pages, and the file refcount version only
+// ever feeds equality checks, so bumping it once per run equals
+// bumping it once per page.
 //
 //lint:allocfree
 func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=pages n=pages
@@ -273,7 +411,6 @@ func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=p
 	end := page + n
 	pb := r.ensurePB(end)
 	mutated := false
-	fileTouched := false
 	var dirtyBit byte
 	if write || r.Kind == Anon {
 		dirtyBit = pageDirty
@@ -297,32 +434,16 @@ func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=p
 			}
 			m.counters.Commits += k
 			if r.Kind == FileBacked {
-				// First touch of a file page: sub-runs some other
+				// First touch of a file page: pages some other
 				// mapping already has resident come from the page
 				// cache (minor fault); the rest are read from disk.
-				refs := r.file.refs
-				base := r.foff
-				for x := i; x < j; {
-					hit := refs[base+x] > 0
-					y := x + 1
-					for y < j && (refs[base+y] > 0) == hit {
-						y++
-					}
-					c := y - x
-					if hit {
-						as.minorFaults += c
-						as.faultCost += c * m.costs.Minor
-					} else {
-						as.majorFaults += c
-						as.faultCost += c * m.costs.Major
-					}
-					for z := x; z < y; z++ {
-						refs[base+z]++
-					}
-					x = y
-				}
-				fileTouched = true
+				hits := r.addRefs(i, j, +1)
+				as.minorFaults += hits
+				as.faultCost += hits * m.costs.Minor
+				as.majorFaults += k - hits
+				as.faultCost += (k - hits) * m.costs.Major
 			} else {
+				as.addUSS(k)
 				as.minorFaults += k
 				as.faultCost += k * m.costs.Minor
 			}
@@ -339,11 +460,9 @@ func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=p
 			m.counters.Commits += k
 			m.counters.SwapIns += k
 			if r.Kind == FileBacked {
-				refs := r.file.refs
-				for z := i; z < j; z++ {
-					refs[r.foff+z]++
-				}
-				fileTouched = true
+				r.addRefs(i, j, +1)
+			} else {
+				as.addUSS(k)
 			}
 			as.majorFaults += k
 			as.faultCost += k * m.costs.Major
@@ -351,9 +470,6 @@ func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=p
 			mutated = true
 		}
 		i = j
-	}
-	if fileTouched {
-		r.file.version++
 	}
 	return mutated
 }
@@ -395,7 +511,6 @@ func (r *Region) releasePages(page, n int64) { //lint:unit page=pages n=pages
 	}
 	r.clearEpoch++
 	m := r.as.machine
-	fileTouched := false
 	for i := page; i < end; {
 		j := runEnd(pb, i, end)
 		k := j - i
@@ -405,11 +520,9 @@ func (r *Region) releasePages(page, n int64) { //lint:unit page=pages n=pages
 			m.counters.Releases += k
 			r.resident -= k
 			if r.Kind == FileBacked {
-				refs := r.file.refs
-				for z := i; z < j; z++ {
-					refs[r.foff+z]--
-				}
-				fileTouched = true
+				r.addRefs(i, j, -1)
+			} else {
+				r.as.addUSS(-k)
 			}
 		case pageSwapped:
 			m.swapPages -= k
@@ -418,9 +531,6 @@ func (r *Region) releasePages(page, n int64) { //lint:unit page=pages n=pages
 		i = j
 	}
 	clear(pb[page:end])
-	if fileTouched {
-		r.file.version++
-	}
 }
 
 // ReleaseBytes is Release addressed in bytes. Partial pages at either
@@ -508,7 +618,6 @@ func (r *Region) swapOutPages(page, n, maxMoved int64) int64 {
 	r.clearEpoch++
 	m := r.as.machine
 	var moved int64
-	fileTouched := false
 	for i := page; i < end; {
 		if maxMoved >= 0 && moved >= maxMoved {
 			break
@@ -524,11 +633,7 @@ func (r *Region) swapOutPages(page, n, maxMoved int64) int64 {
 			// Clean file run: drop; re-read on demand.
 			m.physPages -= k
 			m.counters.Releases += k
-			refs := r.file.refs
-			for z := i; z < j; z++ {
-				refs[r.foff+z]--
-			}
-			fileTouched = true
+			r.addRefs(i, j, -1)
 			r.resident -= k
 			clear(pb[i:j])
 			i = j
@@ -553,18 +658,13 @@ func (r *Region) swapOutPages(page, n, maxMoved int64) int64 {
 			r.swapped += c
 			moved += c
 			if r.Kind == FileBacked {
-				refs := r.file.refs
-				for z := i; z < i+c; z++ {
-					refs[r.foff+z]--
-				}
-				fileTouched = true
+				r.addRefs(i, i+c, -1)
+			} else {
+				r.as.addUSS(-c)
 			}
 			fillBytes(pb[i:i+c], pageSwapped|(v&pageDirty))
 		}
 		i = j
-	}
-	if fileTouched {
-		r.file.version++
 	}
 	return moved
 }
@@ -627,26 +727,18 @@ func (r *Region) ReleaseClean() int64 {
 	var released int64
 	r.clearEpoch++
 	m := r.as.machine
-	fileTouched := false
 	for i := int64(0); i < lim; {
 		j := runEnd(pb, i, lim)
 		if pb[i] == pageResident { // resident and clean
 			k := j - i
 			m.physPages -= k
 			m.counters.Releases += k
-			refs := r.file.refs
-			for z := i; z < j; z++ {
-				refs[r.foff+z]--
-			}
-			fileTouched = true
+			r.addRefs(i, j, -1)
 			r.resident -= k
 			clear(pb[i:j])
 			released += k * PageSize
 		}
 		i = j
-	}
-	if fileTouched {
-		r.file.version++
 	}
 	r.invalidate()
 	return released
@@ -689,6 +781,9 @@ func (as *AddressSpace) Unmap(r *Region) {
 		panic("osmem: Unmap of foreign region")
 	}
 	as.releaseRange(r, 0, r.pages)
+	if r.file != nil {
+		r.file.unmap(r)
+	}
 	r.dead = true
 	r.clearEpoch++
 	as.machine.recyclePB(r)

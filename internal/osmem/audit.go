@@ -8,12 +8,13 @@ import (
 // Audit recounts the machine's page accounting from first principles
 // and returns a description of every inconsistency found (empty when
 // the books balance). It exists for the invariant checker: the
-// incremental counters (Region.resident, Machine.physPages, file
-// refcounts) are what every USS/RSS/PSS query reads, so a drift
-// between them and the underlying page states — a double-free, a
-// missed decrement, a stale refcount — would silently corrupt every
-// experiment. Audit is O(total mapped pages); callers run it on a
-// bounded cadence, not per event.
+// incremental counters (Region.resident/swapped, Machine.physPages
+// and swapPages, file refcounts, and each space's USS counter) are
+// what every USS/RSS/PSS query reads, so a drift between them and the
+// underlying page states — a double-free, a missed decrement, a stale
+// refcount, a 1<->2 refcount crossing charged to the wrong space —
+// would silently corrupt every experiment. Audit is O(total mapped
+// pages); callers run it on a bounded cadence, not per event.
 func (m *Machine) Audit() []string {
 	var bad []string
 
@@ -21,6 +22,10 @@ func (m *Machine) Audit() []string {
 	fileRefs := make(map[*FileObject][]int32)
 
 	for _, as := range m.AddressSpaces() {
+		if got, want := as.USS(), as.Usage().USS; got != want {
+			bad = append(bad, fmt.Sprintf(
+				"space %s: USS counter %d bytes, rescan %d", as.label, got, want))
+		}
 		for _, r := range as.Regions() {
 			var resident, swapped int64
 			for i := int64(0); i < int64(len(r.pb)); i++ {

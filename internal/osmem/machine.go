@@ -177,6 +177,25 @@ type FileObject struct {
 	// version increments on every refcount change; regions use it to
 	// invalidate cached accounting for shared mappings.
 	version uint64
+	// maps lists the live regions mapping this file, and last is the
+	// one that most recently matched a holder search (see soleHolder).
+	// They let a refcount crossing 1<->2 find the region whose USS it
+	// moves without keeping a per-page holder array.
+	maps []*Region
+	last *Region
+}
+
+// unmap drops a dying region from the file's mapping list.
+func (f *FileObject) unmap(r *Region) {
+	for i, q := range f.maps {
+		if q == r {
+			f.maps = append(f.maps[:i], f.maps[i+1:]...)
+			break
+		}
+	}
+	if f.last == r {
+		f.last = nil
+	}
 }
 
 // File returns (creating if necessary) the machine's file object for
@@ -249,6 +268,14 @@ func (m *Machine) Destroy(as *AddressSpace) {
 	}
 	for _, r := range as.regions {
 		as.releaseRange(r, 0, r.pages)
+	}
+	// Unlink only after every region is released: releasing one of
+	// the space's file regions may credit another of its regions
+	// mapping the same pages, which must still be findable.
+	for _, r := range as.regions {
+		if r.file != nil {
+			r.file.unmap(r)
+		}
 		m.recyclePB(r)
 	}
 	as.regions = nil

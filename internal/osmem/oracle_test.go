@@ -7,10 +7,15 @@ package osmem
 // sequences, comparing the complete observable surface — per-region
 // and per-space Usage, machine page counters, fault counts and costs,
 // operation return values — after every single op, plus a full
-// Machine.Audit. Any divergence prints the sequence seed so the run
-// can be replayed under a debugger.
+// Machine.Audit. The ops include teardown (Unmap, Destroy) and a
+// second mapping of a file into the same space, which is where the
+// USS counter's refcount 1<->2 crossings credit or debit a space
+// other than the one operated on. Any divergence prints the sequence
+// seed (or the fuzz input) so the run can be replayed under a
+// debugger.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -286,6 +291,29 @@ func (r *refRegion) sharedResidentPages() int64 {
 
 // --- paired world: the real machine and the reference in lockstep ---
 
+// opSource supplies every choice an oracle sequence makes: a seeded
+// *rand.Rand for the fixed sweep, fuzzer-provided bytes for
+// FuzzOracleOps.
+type opSource interface {
+	Intn(n int) int
+	Int63n(n int64) int64
+}
+
+// byteSource decodes choices from fuzz input, two bytes per choice,
+// reading zeros once the input runs out.
+type byteSource struct{ b []byte }
+
+func (s *byteSource) Int63n(n int64) int64 {
+	var v uint64
+	for k := 0; k < 2 && len(s.b) > 0; k++ {
+		v = v<<8 | uint64(s.b[0])
+		s.b = s.b[1:]
+	}
+	return int64(v % uint64(n))
+}
+
+func (s *byteSource) Intn(n int) int { return int(s.Int63n(int64(n))) }
+
 type pairedRegion struct {
 	real *Region
 	ref  *refRegion
@@ -301,59 +329,69 @@ type pairedSpace struct {
 type pairedWorld struct {
 	real   *Machine
 	ref    *refMachine
+	file   *FileObject
+	rfile  *refFile
 	spaces []*pairedSpace
+	made   int // spaces created so far, for labels
 }
 
-func newPairedWorld(seed int64) (*pairedWorld, *rand.Rand) {
-	rng := rand.New(rand.NewSource(seed))
+const oracleFilePages = 96
+
+func newPairedWorld(src opSource) *pairedWorld {
 	w := &pairedWorld{
 		real: NewMachine(DefaultFaultCosts()),
 		ref:  &refMachine{costs: DefaultFaultCosts()},
 	}
-	if rng.Intn(2) == 0 {
-		limit := int64(rng.Intn(48)) // small enough that sequences fill it
+	if src.Intn(2) == 0 {
+		limit := int64(src.Intn(48)) // small enough that sequences fill it
 		w.real.SetSwapLimit(limit)
 		w.ref.swapLimit = limit
 	}
-
-	const filePages = 96
-	f := w.real.File("libshared.so", filePages*PageSize)
-	rf := &refFile{pages: filePages, refs: make([]int32, filePages)}
-
-	addSpace := func(label string, anonPages, foff, flen int64) {
-		as := w.real.NewAddressSpace(label)
-		rs := &refSpace{}
-		ps := &pairedSpace{real: as, ref: rs}
-		addAnon := func(name string, pages int64) {
-			rr := as.MmapAnon(name, pages*PageSize)
-			ref := &refRegion{kind: Anon, pages: pages, access: true,
-				st: make([]byte, pages), dirty: make([]bool, pages)}
-			rs.regions = append(rs.regions, ref)
-			ps.regions = append(ps.regions, &pairedRegion{real: rr, ref: ref})
-		}
-		addAnon("heap", anonPages)
-		rr := as.MmapFile("libshared.so", f, foff, flen)
-		ref := &refRegion{kind: FileBacked, pages: flen, file: rf, foff: foff,
-			access: true, st: make([]byte, flen), dirty: make([]bool, flen)}
-		rs.regions = append(rs.regions, ref)
-		ps.regions = append(ps.regions, &pairedRegion{real: rr, ref: ref})
-		addAnon("arena", anonPages/2)
-		w.spaces = append(w.spaces, ps)
-	}
+	w.file = w.real.File("libshared.so", oracleFilePages*PageSize)
+	w.rfile = &refFile{pages: oracleFilePages, refs: make([]int32, oracleFilePages)}
 	// Two processes whose library mappings overlap on file pages
 	// [32, 64), so refcounts exercise 0, 1 and 2.
-	addSpace("p1", 64, 0, 64)
-	addSpace("p2", 48, 32, 64)
-	return w, rng
+	w.spaces = append(w.spaces, w.newSpace(64, 0, 64), w.newSpace(48, 32, 64))
+	return w
+}
+
+// newSpace creates a process with a heap, a libshared.so mapping of
+// file pages [foff, foff+flen) and an arena.
+func (w *pairedWorld) newSpace(anonPages, foff, flen int64) *pairedSpace {
+	w.made++
+	ps := &pairedSpace{
+		real: w.real.NewAddressSpace(fmt.Sprintf("p%d", w.made)),
+		ref:  &refSpace{},
+	}
+	ps.mmapAnon("heap", anonPages)
+	w.mmapFile(ps, foff, flen)
+	ps.mmapAnon("arena", anonPages/2)
+	return ps
+}
+
+func (ps *pairedSpace) add(real *Region, ref *refRegion) {
+	ps.ref.regions = append(ps.ref.regions, ref)
+	ps.regions = append(ps.regions, &pairedRegion{real: real, ref: ref})
+}
+
+func (ps *pairedSpace) mmapAnon(name string, pages int64) {
+	ps.add(ps.real.MmapAnon(name, pages*PageSize), &refRegion{kind: Anon, pages: pages,
+		access: true, st: make([]byte, pages), dirty: make([]bool, pages)})
+}
+
+func (w *pairedWorld) mmapFile(ps *pairedSpace, foff, flen int64) {
+	ps.add(ps.real.MmapFile("libshared.so", w.file, foff, flen), &refRegion{kind: FileBacked,
+		pages: flen, file: w.rfile, foff: foff, access: true,
+		st: make([]byte, flen), dirty: make([]bool, flen)})
 }
 
 // check compares every observable between the two implementations.
-func (w *pairedWorld) check(t *testing.T, seed int64, step int, opName string) {
+func (w *pairedWorld) check(t *testing.T, tag string, step int, opName string) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("seed %d step %d (%s): "+format,
-			append([]any{seed, step, opName}, args...)...)
+		t.Fatalf("%s step %d (%s): "+format,
+			append([]any{tag, step, opName}, args...)...)
 	}
 	if got, want := w.real.PhysPages(), w.ref.phys; got != want {
 		fail("machine phys pages = %d, reference %d", got, want)
@@ -376,8 +414,12 @@ func (w *pairedWorld) check(t *testing.T, seed int64, step int, opName string) {
 		if got, want := ps.drained, ps.ref.faultCost; got != want {
 			fail("%s fault cost = %dµs, reference %dµs", label, got, want)
 		}
-		if got, want := ps.real.Usage(), ps.ref.usage(); got != want {
+		want := ps.ref.usage()
+		if got := ps.real.Usage(); got != want {
 			fail("%s usage = %+v, reference %+v", label, got, want)
+		}
+		if got := ps.real.USS(); got != want.USS {
+			fail("%s USS counter = %d, reference %d", label, got, want.USS)
 		}
 		for _, pr := range ps.regions {
 			name := pr.real.Name
@@ -406,11 +448,11 @@ func (w *pairedWorld) check(t *testing.T, seed int64, step int, opName string) {
 
 // randomRuns builds 1-4 in-bounds byte runs via AppendRun, biased
 // toward partial-page offsets and lengths.
-func randomRuns(rng *rand.Rand, bytes int64) []Run {
+func randomRuns(src opSource, bytes int64) []Run {
 	var runs []Run
-	for k := 1 + rng.Intn(4); k > 0; k-- {
-		off := rng.Int63n(bytes)
-		n := 1 + rng.Int63n(bytes-off)
+	for k := 1 + src.Intn(4); k > 0; k-- {
+		off := src.Int63n(bytes)
+		n := 1 + src.Int63n(bytes-off)
 		runs = AppendRun(runs, off, n)
 	}
 	return runs
@@ -426,26 +468,43 @@ func TestOracleRandomOps(t *testing.T) {
 	}
 	for i := 0; i < sequences; i++ {
 		seed := int64(1_000_000 + i)
-		runOracleSequence(t, seed)
+		runOracleSequence(t, fmt.Sprintf("seed %d", seed), rand.New(rand.NewSource(seed)), 30)
 	}
 }
 
-func runOracleSequence(t *testing.T, seed int64) {
-	w, rng := newPairedWorld(seed)
-	w.check(t, seed, -1, "setup")
+// FuzzOracleOps is TestOracleRandomOps with the op choices decoded
+// from the fuzzer's bytes instead of a seeded generator. Its
+// committed corpus (testdata/fuzz/FuzzOracleOps) runs under plain
+// go test; go test -fuzz explores further.
+func FuzzOracleOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A step draws at least six two-byte choices; past the input
+		// the source yields zeros, so bound the tail.
+		steps := 1 + len(data)/12
+		if steps > 64 {
+			steps = 64
+		}
+		runOracleSequence(t, "fuzz input", &byteSource{b: data}, steps)
+	})
+}
 
-	const steps = 30
+func runOracleSequence(t *testing.T, tag string, src opSource, steps int) {
+	w := newPairedWorld(src)
+	w.check(t, tag, -1, "setup")
+
 	for step := 0; step < steps; step++ {
-		ps := w.spaces[rng.Intn(len(w.spaces))]
-		pr := ps.regions[rng.Intn(len(ps.regions))]
+		si := src.Intn(len(w.spaces))
+		ps := w.spaces[si]
+		ri := src.Intn(len(ps.regions))
+		pr := ps.regions[ri]
 		r, ref := pr.real, pr.ref
 		pages := ref.pages
 		bytes := pages * PageSize
-		page := rng.Int63n(pages)
-		n := rng.Int63n(pages - page + 1)
-		write := rng.Intn(2) == 0
+		page := src.Int63n(pages)
+		n := src.Int63n(pages - page + 1)
+		write := src.Intn(2) == 0
 
-		op := rng.Intn(13)
+		op := src.Intn(16)
 		if !ref.access && (op <= 2 || op == 8) {
 			op = 11 // touching PROT_NONE segfaults; re-enable instead
 		}
@@ -457,13 +516,13 @@ func runOracleSequence(t *testing.T, seed int64) {
 			w.ref.touch(ps.ref, ref, page, n, write)
 		case 1:
 			opName = "TouchBytes"
-			off := rng.Int63n(bytes)
-			bn := rng.Int63n(bytes - off + 1)
+			off := src.Int63n(bytes)
+			bn := src.Int63n(bytes - off + 1)
 			r.TouchBytes(off, bn, write)
 			w.ref.touchBytes(ps.ref, ref, off, bn, write)
 		case 2:
 			opName = "TouchRange"
-			runs := randomRuns(rng, bytes)
+			runs := randomRuns(src, bytes)
 			r.TouchRange(runs, write)
 			for _, run := range runs {
 				w.ref.touchBytes(ps.ref, ref, run.Off, run.Len, write)
@@ -474,13 +533,13 @@ func runOracleSequence(t *testing.T, seed int64) {
 			w.ref.release(ref, page, n)
 		case 4:
 			opName = "ReleaseBytes"
-			off := rng.Int63n(bytes)
-			bn := rng.Int63n(bytes - off + 1)
+			off := src.Int63n(bytes)
+			bn := src.Int63n(bytes - off + 1)
 			r.ReleaseBytes(off, bn)
 			w.ref.releaseBytes(ref, off, bn)
 		case 5:
 			opName = "ReleaseRuns"
-			runs := randomRuns(rng, bytes)
+			runs := randomRuns(src, bytes)
 			r.ReleaseRuns(runs)
 			for _, run := range runs {
 				w.ref.releaseBytes(ref, run.Off, run.Len)
@@ -490,26 +549,26 @@ func runOracleSequence(t *testing.T, seed int64) {
 			got := r.SwapOut(page, n)
 			want := w.ref.swapOutUpTo(ref, page, n, pages+1)
 			if got != want {
-				t.Fatalf("seed %d step %d: SwapOut moved %d, reference %d",
-					seed, step, got, want)
+				t.Fatalf("%s step %d: SwapOut moved %d, reference %d",
+					tag, step, got, want)
 			}
 		case 7:
 			opName = "SwapOutUpTo"
-			max := rng.Int63n(pages + 1)
+			max := src.Int63n(pages + 1)
 			got := r.SwapOutUpTo(page, n, max)
 			want := w.ref.swapOutUpTo(ref, page, n, max)
 			if got != want {
-				t.Fatalf("seed %d step %d: SwapOutUpTo moved %d, reference %d",
-					seed, step, got, want)
+				t.Fatalf("%s step %d: SwapOutUpTo moved %d, reference %d",
+					tag, step, got, want)
 			}
 		case 8:
 			opName = "FaultInUpTo"
-			max := rng.Int63n(pages + 1)
+			max := src.Int63n(pages + 1)
 			got := r.FaultInUpTo(page, n, max)
 			want := w.ref.faultInUpTo(ps.ref, ref, page, n, max)
 			if got != want {
-				t.Fatalf("seed %d step %d: FaultInUpTo faulted %d, reference %d",
-					seed, step, got, want)
+				t.Fatalf("%s step %d: FaultInUpTo faulted %d, reference %d",
+					tag, step, got, want)
 			}
 		case 9:
 			opName = "ReleaseClean"
@@ -520,8 +579,8 @@ func runOracleSequence(t *testing.T, seed int64) {
 			got := r.ReleaseClean()
 			want := w.ref.releaseClean(ref)
 			if got != want {
-				t.Fatalf("seed %d step %d: ReleaseClean released %d, reference %d",
-					seed, step, got, want)
+				t.Fatalf("%s step %d: ReleaseClean released %d, reference %d",
+					tag, step, got, want)
 			}
 		case 10:
 			opName = "ProtectNone"
@@ -536,14 +595,43 @@ func runOracleSequence(t *testing.T, seed int64) {
 			// stay on the legal side: unlimited, or at least the
 			// current occupancy (the chaos layer does the same).
 			opName = "SetSwapLimit"
-			limit := int64(rng.Intn(64))
+			limit := int64(src.Intn(64))
 			if limit != 0 && limit < w.ref.swap {
 				limit = w.ref.swap
 			}
 			w.real.SetSwapLimit(limit)
 			w.ref.swapLimit = limit
+		case 13:
+			// Teardown is where 2->1 refcount crossings credit a
+			// surviving holder. Keep at least one region so the
+			// space stays selectable.
+			opName = "Unmap"
+			if len(ps.regions) == 1 {
+				opName = "noop"
+				break
+			}
+			// munmap releases every page, so the reference does that.
+			ps.real.Unmap(r)
+			w.ref.release(ref, 0, pages)
+			ps.regions = append(ps.regions[:ri], ps.regions[ri+1:]...)
+			ps.ref.regions = append(ps.ref.regions[:ri], ps.ref.regions[ri+1:]...)
+		case 14:
+			opName = "Destroy"
+			w.real.Destroy(ps.real)
+			for _, pr := range ps.regions {
+				w.ref.release(pr.ref, 0, pr.ref.pages)
+			}
+			foff := src.Int63n(oracleFilePages)
+			flen := 1 + src.Int63n(oracleFilePages-foff)
+			w.spaces[si] = w.newSpace(16+src.Int63n(49), foff, flen)
+		case 15:
+			// A second mapping of the same file in the same space:
+			// the space's two regions count as two holders.
+			opName = "MmapFile"
+			foff := src.Int63n(oracleFilePages)
+			w.mmapFile(ps, foff, 1+src.Int63n(oracleFilePages-foff))
 		}
-		w.check(t, seed, step, opName)
+		w.check(t, tag, step, opName)
 	}
 }
 

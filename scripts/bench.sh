@@ -63,6 +63,10 @@ run ./internal/experiments 'BenchmarkFleetReplayShards1$|BenchmarkFleetReplaySha
 # per-invocation span builder folding the stream, i.e. the full
 # tracing-enabled overhead.
 run ./internal/faas        'BenchmarkInvocationPath$'                                  "$LIGHT"
+# The frozen-cache occupancy read on a 200-instance cache: the running
+# USS ledger (DESIGN.md §10) keeps it O(1) and allocation-free, which
+# the bench-smoke CI job asserts on this run's allocs_per_op.
+run ./internal/faas        'BenchmarkCacheOccupancy$'                                  "$LIGHT"
 # PR 9: the full quick calibration pipeline — fit on Table 1, predict
 # Figs. 7/8/9, run the metamorphic suite — exactly what the CI
 # validate job executes, so the gate's wall-clock cost is tracked.
