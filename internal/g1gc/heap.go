@@ -454,6 +454,7 @@ func (h *Heap) evacuate(cset []*region, aggressive bool) {
 			if o.Collectible(aggressive) {
 				o.Dead = true
 				collected += o.Size
+				h.pool.Recycle(o)
 				continue
 			}
 			traced += o.Size
@@ -484,6 +485,8 @@ func (h *Heap) evacuate(cset []*region, aggressive bool) {
 		for _, o := range r.objects[failedAt:] {
 			if !o.Dead {
 				remaining = append(remaining, o)
+			} else {
+				h.pool.Recycle(o)
 			}
 		}
 		r.objects = remaining
@@ -531,6 +534,7 @@ func (h *Heap) sweepHumongous(aggressive bool) {
 		}
 		o.Dead = true
 		h.stats.CollectedBytes += o.Size
+		h.pool.Recycle(o)
 		spans := r.spans
 		for i := r.index; i < r.index+spans; i++ {
 			h.release(h.regions[i])

@@ -98,7 +98,7 @@ func TestReleaseFreeTail(t *testing.T) {
 	s.TryAllocate(&Object{Size: 6 * osmem.PageSize})   // touches up past page 7
 	s.Objects()[1].Dead = true
 	// Simulate a sweep: drop the dead tail object manually.
-	objs := s.TakeObjects()
+	objs := append([]*Object(nil), s.Objects()...)
 	if !s.Relocate(objs[:1]) {
 		t.Fatal("relocate failed")
 	}
@@ -146,9 +146,8 @@ func TestRelocateCompacts(t *testing.T) {
 			keep = append(keep, o)
 		}
 	}
-	taken := s.TakeObjects()
-	if len(taken) != 8 {
-		t.Fatalf("TakeObjects: %d", len(taken))
+	if len(s.Objects()) != 8 {
+		t.Fatalf("Objects: %d", len(s.Objects()))
 	}
 	if !s.Relocate(keep) {
 		t.Fatal("relocate failed")
@@ -193,19 +192,117 @@ func TestSetCapacity(t *testing.T) {
 	}()
 }
 
-func TestRebase(t *testing.T) {
+// TestRecarve moves a space the way a young re-carve does — empty it,
+// move the window, put the survivors back — and checks that the
+// survivors land resident at the new base. A touch-skip watermark
+// carried over from the old base would skip that touch.
+func TestRecarve(t *testing.T) {
 	m := osmem.NewMachine(osmem.DefaultFaultCosts())
 	as := m.NewAddressSpace("p")
 	r := as.MmapAnon("heap", 32*osmem.PageSize)
 	s := NewBumpSpace("from", r, 0, 8*osmem.PageSize)
 	o := &Object{Size: 3 * osmem.PageSize}
 	s.TryAllocate(o)
-	s.Rebase(16*osmem.PageSize, 8*osmem.PageSize)
+	survivors := append([]*Object(nil), s.Objects()...)
+	s.Reset()
+	s.Recarve(16*osmem.PageSize, 8*osmem.PageSize)
+	if !s.Relocate(survivors) {
+		t.Fatal("relocate after recarve failed")
+	}
 	if o.Offset != 16*osmem.PageSize {
-		t.Fatalf("offset after rebase: %d", o.Offset)
+		t.Fatalf("offset after recarve: %d", o.Offset)
 	}
 	if s.Base() != 16*osmem.PageSize || s.LiveBytes() != 3*osmem.PageSize {
-		t.Fatal("rebase lost state")
+		t.Fatal("recarve lost state")
+	}
+	if got := s.ResidentBytes(); got != 3*osmem.PageSize {
+		t.Fatalf("resident after recarve: %d bytes, want 3 pages", got)
+	}
+	if m.PhysPages() != 6 {
+		t.Fatalf("phys pages: %d, want 3 at each base", m.PhysPages())
+	}
+
+	// Same base, new capacity: the watermark stays valid and the
+	// space keeps allocating from its base.
+	s.Reset()
+	s.Recarve(16*osmem.PageSize, 4*osmem.PageSize)
+	if !s.TryAllocate(&Object{Size: osmem.PageSize}) || s.ResidentBytes() != 3*osmem.PageSize {
+		t.Fatalf("same-base recarve: resident %d", s.ResidentBytes())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("recarve of a non-empty space did not panic")
+			}
+		}()
+		s.Recarve(0, osmem.PageSize)
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("recarve outside the region did not panic")
+			}
+		}()
+		s.Reset()
+		s.Recarve(30*osmem.PageSize, 4*osmem.PageSize)
+	}()
+}
+
+func TestObjectPoolRecycle(t *testing.T) {
+	var p ObjectPool
+	a := p.New(100, false)
+	b := p.New(200, true)
+	if *a != (Object{Size: 100}) || *b != (Object{Size: 200, Weak: true}) {
+		t.Fatalf("fresh objects: %v %v", a, b)
+	}
+	a.Age, a.Offset, a.Dead = 3, 4096, true
+	p.Recycle(a)
+	if *a != (Object{Dead: true}) {
+		t.Fatalf("recycled object not cleared: %v", a)
+	}
+	// Weak objects stay with their holder, which reads Dead.
+	b.Dead = true
+	p.Recycle(b)
+	if b.Size != 200 || !b.Dead {
+		t.Fatalf("weak object recycled: %v", b)
+	}
+	c := p.New(300, false)
+	if c != a || *c != (Object{Size: 300}) {
+		t.Fatalf("New did not reuse the recycled object: %p %p %v", c, a, c)
+	}
+	if d := p.New(1, false); d == a || d == b {
+		t.Fatal("empty free list handed out a used object")
+	}
+	for _, o := range []*Object{p.New(8, false), {Dead: true}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("recycle of %v did not panic", o)
+				}
+			}()
+			p.Recycle(o)
+		}()
+	}
+}
+
+// TestObjectPoolSteadyStateAllocFree pins the point of the free list:
+// a heap that recycles what it frees allocates nothing on the host.
+func TestObjectPoolSteadyStateAllocFree(t *testing.T) {
+	var p ObjectPool
+	ring := make([]*Object, 1024)
+	cycle := func() {
+		for i := range ring {
+			if ring[i] != nil {
+				ring[i].Dead = true
+				p.Recycle(ring[i])
+			}
+			ring[i] = p.New(64, false)
+		}
+	}
+	cycle()
+	cycle()
+	if n := testing.AllocsPerRun(10, cycle); n != 0 {
+		t.Fatalf("steady-state New/Recycle allocates %.1f times per cycle", n)
 	}
 }
 

@@ -46,6 +46,8 @@ func (o *Object) String() string {
 
 // Collectible reports whether a collection with the given
 // aggressiveness reclaims the object.
+//
+//lint:allocfree
 func (o *Object) Collectible(aggressive bool) bool {
 	if o.Dead {
 		return true
@@ -55,6 +57,8 @@ func (o *Object) Collectible(aggressive bool) bool {
 
 // LiveBytes sums the sizes of objects that survive a non-aggressive
 // collection.
+//
+//lint:allocfree
 func LiveBytes(objs []*Object) int64 {
 	var n int64
 	for _, o := range objs {
@@ -67,6 +71,8 @@ func LiveBytes(objs []*Object) int64 {
 
 // DeadBytes sums the sizes of objects a non-aggressive collection
 // would reclaim.
+//
+//lint:allocfree
 func DeadBytes(objs []*Object) int64 {
 	var n int64
 	for _, o := range objs {

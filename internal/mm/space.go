@@ -36,11 +36,15 @@ type BumpSpace struct {
 
 // NewBumpSpace creates a space over region bytes [base, base+capacity).
 func NewBumpSpace(name string, region *osmem.Region, base, capacity int64) *BumpSpace {
+	checkWindow(name, region, base, capacity)
+	return &BumpSpace{Name: name, region: region, base: base, capacity: capacity}
+}
+
+func checkWindow(name string, region *osmem.Region, base, capacity int64) {
 	if base < 0 || capacity < 0 || base+capacity > region.Bytes() {
 		panic(fmt.Sprintf("mm: space %q [%d,%d) outside region of %d bytes",
 			name, base, base+capacity, region.Bytes()))
 	}
-	return &BumpSpace{Name: name, region: region, base: base, capacity: capacity}
 }
 
 // Region returns the OS region backing the space.
@@ -64,10 +68,14 @@ func (s *BumpSpace) Free() int64 { return s.capacity - s.top }
 func (s *BumpSpace) Objects() []*Object { return s.objects }
 
 // LiveBytes returns the bytes held by non-dead objects in the space.
+//
+//lint:allocfree
 func (s *BumpSpace) LiveBytes() int64 { return LiveBytes(s.objects) }
 
 // TryAllocate bump-allocates o into the space, touching the underlying
 // pages. Returns false (leaving the space unchanged) if o does not fit.
+//
+//lint:allocfree
 func (s *BumpSpace) TryAllocate(o *Object) bool {
 	if o.Size > s.capacity-s.top {
 		return false
@@ -83,7 +91,9 @@ func (s *BumpSpace) TryAllocate(o *Object) bool {
 		s.noteTouched(s.top, end)
 	}
 	s.top = end
-	s.objects = append(s.objects, o)
+	// The object list grows to the space's peak population and keeps
+	// its capacity across Reset, Relocate and Recarve.
+	s.objects = append(s.objects, o) //lint:allow allocfree
 	return true
 }
 
@@ -92,6 +102,8 @@ func (s *BumpSpace) TryAllocate(o *Object) bool {
 // touch's page coverage extends outward past [from, to); when it no
 // longer connects to the previous window (stale epoch or a gap), the
 // coverage becomes the whole claim.
+//
+//lint:allocfree
 func (s *BumpSpace) noteTouched(from, to int64) {
 	if s.region.Kind != osmem.Anon {
 		return
@@ -121,15 +133,6 @@ func (s *BumpSpace) noteTouched(from, to int64) {
 func (s *BumpSpace) Reset() {
 	s.top = 0
 	s.objects = s.objects[:0]
-}
-
-// TakeObjects empties the space and returns its former contents (for
-// copying collections that filter and move them elsewhere).
-func (s *BumpSpace) TakeObjects() []*Object {
-	objs := s.objects
-	s.objects = nil
-	s.top = 0
-	return objs
 }
 
 // Relocate re-installs objs (already filtered by the collector) as the
@@ -176,6 +179,8 @@ func (s *BumpSpace) BeginCopy() CopyBatch { return CopyBatch{s: s, start: s.top}
 
 // TryAllocate bump-allocates o without touching pages. Returns false
 // (leaving the space unchanged) if o does not fit.
+//
+//lint:allocfree
 func (b *CopyBatch) TryAllocate(o *Object) bool {
 	s := b.s
 	if o.Size > s.capacity-s.top {
@@ -183,12 +188,14 @@ func (b *CopyBatch) TryAllocate(o *Object) bool {
 	}
 	o.Offset = s.base + s.top
 	s.top += o.Size
-	s.objects = append(s.objects, o)
+	s.objects = append(s.objects, o) //lint:allow allocfree
 	return true
 }
 
 // Flush touches the pages of every object allocated through the batch
 // since BeginCopy (or the previous Flush) and rearms the batch.
+//
+//lint:allocfree
 func (b *CopyBatch) Flush() {
 	s := b.s
 	if s.top > b.start {
@@ -216,23 +223,22 @@ func (s *BumpSpace) SetCapacity(capacity int64) {
 	s.capacity = capacity
 }
 
-// Rebase moves the space to a new window [base, base+capacity), which
-// must hold its current contents contiguously from the new base.
-// Used when the heap re-carves generation boundaries after a resize.
-// Contents are re-touched at the new location in one bulk touch.
-func (s *BumpSpace) Rebase(base, capacity int64) {
-	objs := s.objects
-	s.objects = nil
-	s.top = 0
-	s.base = base
-	s.SetCapacity(capacity)
-	b := s.BeginCopy()
-	for _, o := range objs {
-		if !b.TryAllocate(o) {
-			panic(fmt.Sprintf("mm: Rebase of %q lost objects", s.Name))
-		}
+// Recarve moves an empty space to the window [base, base+capacity) of
+// its region in place, keeping its object-list capacity — how a heap
+// re-carves generation boundaries after a resize without building new
+// spaces. The touch-skip watermark is space-relative, so a new base
+// voids it; an unchanged base keeps it, since the pages it vouches for
+// have not moved.
+func (s *BumpSpace) Recarve(base, capacity int64) {
+	if s.top != 0 {
+		panic(fmt.Sprintf("mm: recarve of non-empty space %q", s.Name))
 	}
-	b.Flush()
+	checkWindow(s.Name, s.region, base, capacity)
+	if base != s.base {
+		s.base = base
+		s.lo, s.hi = 0, 0
+	}
+	s.capacity = capacity
 }
 
 // ReleaseFreeTail returns the free bytes above the bump pointer to the

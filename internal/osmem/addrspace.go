@@ -64,6 +64,8 @@ type Region struct {
 // ClearEpoch returns the region's clear-epoch counter; see the field
 // comment. Purely an optimization hook — it carries no simulation
 // semantics.
+//
+//lint:allocfree
 func (r *Region) ClearEpoch() uint64 { return r.clearEpoch }
 
 // Pages returns the region's length in pages.
@@ -382,6 +384,8 @@ func (r *Region) checkRange(page, n int64) { //lint:unit page=pages n=pages
 // write marks the pages dirty (relevant only for file mappings; anon
 // pages are always dirty once resident). Touching an inaccessible
 // (PROT_NONE) region panics — that is a segfault in the model.
+//
+//lint:allocfree
 func (r *Region) Touch(page, n int64, write bool) { //lint:unit page=pages n=pages
 	r.checkRange(page, n)
 	if !r.access {
@@ -476,6 +480,8 @@ func (r *Region) touchPages(page, n int64, write bool) bool { //lint:unit page=p
 
 // TouchBytes is Touch addressed in bytes rather than pages; offsets
 // are rounded outward to page boundaries.
+//
+//lint:allocfree
 func (r *Region) TouchBytes(off, n int64, write bool) { //lint:unit off=bytes n=bytes
 	if n == 0 {
 		return

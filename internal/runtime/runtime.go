@@ -68,6 +68,13 @@ type Runtime interface {
 	// Allocate creates an object of the given size, triggering
 	// collections and heap growth as the runtime's policies dictate.
 	// It returns ErrOutOfMemory when the heap limit is exhausted.
+	//
+	// Lifetime contract: once the caller marks a non-weak object Dead
+	// it must drop every reference to it, because the collection that
+	// frees the object may hand the same *mm.Object out again from a
+	// later Allocate. A weak object is never reused; its holder may
+	// keep the reference and read Dead to learn that an aggressive
+	// collection cleared it.
 	Allocate(size int64, opts AllocOptions) (*mm.Object, error)
 
 	// CollectFull forces a full collection followed by the runtime's

@@ -84,6 +84,13 @@ type Heap struct {
 	stats        runtime.GCStats
 	// obs, when non-nil, receives pause/resize/release notifications.
 	obs runtime.GCObserver
+
+	// Reused collector work lists. scavenge and fullGC each own one,
+	// since a full GC can run inside a scavenge's copy loop;
+	// survivorScratch is fullGC's list of young survivors.
+	scavengeScratch []*mm.Object
+	fullScratch     []*mm.Object
+	survivorScratch []*mm.Object
 }
 
 // notePause accumulates one pause's CPU cost and forwards it to the
@@ -214,7 +221,7 @@ func (h *Heap) toSpace() *semispace   { return h.spaces[1-h.from] }
 func (h *Heap) scavenge() {
 	h.stats.YoungGCs++
 	to := h.toSpace()
-	objs := h.fromSpace().takeAll()
+	objs := h.fromSpace().takeAll(h.scavengeScratch[:0])
 
 	// Copies into the to space go through a deferred-touch batch that
 	// flushes one contiguous span per chunk instead of one touch per
@@ -224,6 +231,7 @@ func (h *Heap) scavenge() {
 	for _, o := range objs {
 		if o.Dead {
 			collected += o.Size
+			h.pool.Recycle(o)
 			continue
 		}
 		traced += o.Size
@@ -248,6 +256,7 @@ func (h *Heap) scavenge() {
 		copied += o.Size
 	}
 	tb.sync()
+	h.scavengeScratch = objs[:0]
 	h.from = 1 - h.from
 	h.stats.PromotedBytes += promoted
 	h.stats.CollectedBytes += collected
@@ -290,8 +299,8 @@ func (h *Heap) fullGC(aggressive bool) {
 
 	// Young generation: evacuate as a scavenge would, compacting the
 	// survivors into the current from-space.
-	young := append(h.fromSpace().takeAll(), h.toSpace().takeAll()...)
-	var survivors []*mm.Object
+	young := h.toSpace().takeAll(h.fromSpace().takeAll(h.fullScratch[:0]))
+	survivors := h.survivorScratch[:0]
 	for _, o := range young {
 		if o.Collectible(aggressive) {
 			if o.Weak && !o.Dead {
@@ -299,6 +308,7 @@ func (h *Heap) fullGC(aggressive bool) {
 			}
 			o.Dead = true
 			collected += o.Size
+			h.pool.Recycle(o)
 			continue
 		}
 		traced += o.Size
@@ -323,9 +333,11 @@ func (h *Heap) fullGC(aggressive bool) {
 		}
 	}
 	fb.sync()
+	h.fullScratch = young[:0]
+	h.survivorScratch = survivors[:0]
 
 	// Old generation: mark-sweep in place, freeing empty chunks.
-	oldCollected, weak := h.old.sweep(aggressive)
+	oldCollected, weak := h.old.sweep(aggressive, &h.pool)
 	collected += oldCollected
 	h.weakCollected += weak
 	traced += h.old.liveBytes()

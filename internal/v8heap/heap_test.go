@@ -379,7 +379,8 @@ func TestChunkGapAccounting(t *testing.T) {
 	}
 	// Kill the first object: the sweep leaves a hole.
 	o1.Dead = true
-	col, weak := c.sweep(false)
+	var pool mm.ObjectPool
+	col, weak := c.sweep(false, &pool)
 	if col != 10*kb || weak != 0 {
 		t.Fatalf("sweep: %d/%d", col, weak)
 	}

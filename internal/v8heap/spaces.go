@@ -121,20 +121,20 @@ func (b *semiBatch) tryAllocate(o *mm.Object) bool {
 	}
 }
 
-// takeAll empties the semispace and returns its objects. Chunks (and
-// their resident pages) are retained.
-func (s *semispace) takeAll() []*mm.Object {
-	var out []*mm.Object
+// takeAll empties the semispace, appending its objects to buf (a
+// caller-owned, reused work list) and returning the result. Chunks
+// (and their resident pages) are retained.
+func (s *semispace) takeAll(buf []*mm.Object) []*mm.Object {
 	for _, c := range s.chunks {
-		out = append(out, c.objects...)
+		buf = append(buf, c.objects...)
 		// Truncate rather than nil so the chunk keeps its list
-		// capacity for the next allocation cycle (out holds its own
+		// capacity for the next allocation cycle (buf holds its own
 		// copies of the pointers).
 		c.objects = c.objects[:0]
 	}
 	s.chunkIdx = 0
 	s.top = ChunkHeaderSize
-	return out
+	return buf
 }
 
 func (s *semispace) usedBytes() int64 {
@@ -301,14 +301,14 @@ func (s *oldSpace) tryAllocateLarge(o *mm.Object) bool {
 	return true
 }
 
-// sweep removes collectible objects in place and releases chunks that
-// become entirely free ("the generation shrinks after GC generates
-// free chunks"). It returns the bytes collected and the weak bytes
-// among them.
-func (s *oldSpace) sweep(aggressive bool) (collected, weak int64) {
+// sweep removes collectible objects in place, recycling them into
+// pool, and releases chunks that become entirely free ("the generation
+// shrinks after GC generates free chunks"). It returns the bytes
+// collected and the weak bytes among them.
+func (s *oldSpace) sweep(aggressive bool, pool *mm.ObjectPool) (collected, weak int64) {
 	keep := s.chunks[:0]
 	for _, c := range s.chunks {
-		col, wk := c.sweep(aggressive)
+		col, wk := c.sweep(aggressive, pool)
 		collected += col
 		weak += wk
 		if len(c.objects) == 0 {
@@ -327,6 +327,7 @@ func (s *oldSpace) sweep(aggressive bool) (collected, weak int64) {
 				weak += e.obj.Size
 			}
 			e.obj.Dead = true
+			pool.Recycle(e.obj)
 			for _, c := range e.chunks {
 				s.a.release(c)
 			}

@@ -12,6 +12,13 @@ import (
 // function: its static objects, weak caches, the temporary working-set
 // window, and any intermediate chain data awaiting the downstream
 // stage.
+//
+// State keeps the runtime.Runtime.Allocate lifetime contract: every
+// path that marks a non-weak object Dead also drops its reference
+// (allocTemps nils the window slot, killWindow clears the window,
+// ReleaseIntermediates truncates the list), since the runtime may
+// recycle the object. Only the weak cache is read after it may have
+// died — that is how an aggressive collection is noticed.
 type State struct {
 	Spec  *Spec
 	Stage int
@@ -235,6 +242,7 @@ func (st *State) ReleaseIntermediates() {
 	for _, o := range st.intermediates {
 		o.Dead = true
 	}
+	clear(st.intermediates)
 	st.intermediates = st.intermediates[:0]
 }
 

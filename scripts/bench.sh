@@ -48,7 +48,11 @@ run .                     'BenchmarkFig9TraceReplay$'                "$HEAVY"
 run .                     'BenchmarkFacadeEndToEnd$'                 "$MED"
 run .                     'BenchmarkG1Reclaim$'                      "$LIGHT"
 run .                     'BenchmarkPyArenaReclaim$'                 "$LIGHT"
+# The young collectors of the two generational models, measured after a
+# warm-up: the bench-smoke CI job asserts both allocate nothing per op
+# (objects recycle through mm.ObjectPool, work lists are reused).
 run ./internal/hotspot    'BenchmarkYoungGCCopy$'                    "$LIGHT"
+run ./internal/v8heap     'BenchmarkScavengeCopy$'                   "$LIGHT"
 run ./internal/osmem      'BenchmarkTouchRuns$|BenchmarkReleaseRuns$' "$MICRO"
 # PR 6: event-queue and parallel-engine comparisons. EngineHeap vs
 # EngineWheel is the same churn program on both queue implementations;
