@@ -285,6 +285,20 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	return o, nil
 }
 
+// Headroom implements runtime.Runtime. G1 keeps the per-object path:
+// a stretch could span only the last eden region's remainder, because
+// taking the next region may start a collection whose set is chosen
+// per region, and no workload on the replay path runs G1.
+func (h *Heap) Headroom(int64) int64 { return 0 }
+
+// AllocateDead implements runtime.Runtime; with no headroom, only an
+// empty run is valid.
+func (h *Heap) AllocateDead(size, n int64) {
+	if n > 0 {
+		panic("g1gc: dead run beyond headroom")
+	}
+}
+
 // allocateHumongous places o across consecutive free regions.
 func (h *Heap) allocateHumongous(o *mm.Object) bool {
 	need := int((o.Size + RegionSize - 1) / RegionSize)

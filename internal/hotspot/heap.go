@@ -284,6 +284,32 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	return nil, runtime.ErrOutOfMemory
 }
 
+// Headroom implements runtime.Runtime: the size pieces eden's free
+// tail still takes. A humongous size goes to the old generation and
+// has none.
+func (h *Heap) Headroom(size int64) int64 {
+	if size <= 0 || size > h.eden.Capacity()/2 {
+		return 0
+	}
+	return h.eden.Free() / size
+}
+
+// AllocateDead implements runtime.Runtime: the n pieces are one bump
+// of eden, so they become one dead filler.
+func (h *Heap) AllocateDead(size, n int64) {
+	if n <= 0 {
+		return
+	}
+	if size > h.eden.Capacity()/2 {
+		panic("hotspot: dead run of humongous objects")
+	}
+	o := h.pool.New(n*size, false)
+	o.Dead = true
+	if !h.eden.TryAllocate(o) {
+		panic("hotspot: dead run beyond eden headroom")
+	}
+}
+
 // oldAllocate tries to place o in the old generation, compacting dead
 // tenured data and then expanding the committed size (never beyond
 // the reservation) as needed. Compacting before expanding is what

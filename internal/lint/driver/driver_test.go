@@ -92,15 +92,9 @@ func TestStandaloneFindsViolations(t *testing.T) {
 	}
 }
 
-// TestMutationDetection seeds a throwaway module with one canonical
-// violation per second-generation analyzer and proves each fires. This
-// is the mutation-testing guard for TestRepoIsClean: a suite that
-// passes on the clean tree is only meaningful if these mutants are
-// caught.
-func TestMutationDetection(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": negModMod,
-		"sim/sim.go": `package sim
+// simStub is the slice of the sim package's handler API shardsafe
+// recognizes.
+const simStub = `package sim
 
 type Time int64
 
@@ -113,7 +107,17 @@ type Sharded struct{ engines []*Engine }
 func (s *Sharded) Domain(d int) *Engine { return s.engines[d] }
 
 func (s *Sharded) Send(src int, at Time, dst int, label string, fn func()) {}
-`,
+`
+
+// TestMutationDetection seeds a throwaway module with one canonical
+// violation per second-generation analyzer and proves each fires. This
+// is the mutation-testing guard for TestRepoIsClean: a suite that
+// passes on the clean tree is only meaningful if these mutants are
+// caught.
+func TestMutationDetection(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":     negModMod,
+		"sim/sim.go": simStub,
 		"mutants.go": `package lintneg
 
 import "lintneg/sim"
@@ -176,8 +180,11 @@ func TestVettool(t *testing.T) {
 		t.Fatalf("build vettool: %v\n%s", err, out)
 	}
 
-	vet := func(dir string) (string, error) {
-		cmd := exec.Command("go", "vet", "-vettool="+tool, "./...")
+	vet := func(dir string, patterns ...string) (string, error) {
+		if len(patterns) == 0 {
+			patterns = []string{"./..."}
+		}
+		cmd := exec.Command("go", append([]string{"vet", "-vettool=" + tool}, patterns...)...)
 		cmd.Dir = dir
 		var buf bytes.Buffer
 		cmd.Stdout = &buf
@@ -211,5 +218,71 @@ func Stamp() time.Time {
 	})
 	if out, err := vet(goodDir); err != nil {
 		t.Fatalf("go vet failed on clean module: %v\n%s", err, out)
+	}
+
+	// Handlers that call into sync and fmt. Under the vet protocol
+	// every standard-library package is a facts-only unit; its own
+	// globals (sync.allPools, reflect.dummy, runtime.allp, ...) are not
+	// simulation state and must not surface as shardsafe findings.
+	files := map[string]string{
+		"go.mod":     negModMod,
+		"sim/sim.go": simStub,
+		"handlers.go": `package lintneg
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+
+	"lintneg/sim"
+)
+
+func Fleet(s *sim.Sharded, n int) {
+	for d := 0; d < n; d++ {
+		s.Send(0, 0, d, "log", func() {
+			var mu sync.Mutex
+			mu.Lock()
+			defer mu.Unlock()
+			p := &sync.Pool{New: func() any { return new(strings.Builder) }}
+			b := p.Get().(*strings.Builder)
+			fmt.Fprintf(b, "node %d", d)
+			p.Put(b)
+		})
+	}
+}
+`,
+	}
+	if out, err := vet(writeModule(t, files)); err != nil {
+		t.Fatalf("go vet reported standard-library internals: %v\n%s", err, out)
+	}
+
+	// Mutation: an in-module package-level write behind a call into
+	// another package is still caught. Vetting only the root package
+	// makes that package a facts-only unit too.
+	files["stats/stats.go"] = `package stats
+
+var Delivered int
+
+func Bump() { Delivered++ }
+`
+	files["mutant.go"] = `package lintneg
+
+import (
+	"lintneg/sim"
+	"lintneg/stats"
+)
+
+func Count(s *sim.Sharded, n int) {
+	for d := 0; d < n; d++ {
+		s.Send(0, 0, d, "count", func() { stats.Bump() })
+	}
+}
+`
+	out, err = vet(writeModule(t, files), ".")
+	if err == nil || !strings.Contains(out, "shardsafe: handler calls stats.Bump, which writes package-level var lintneg/stats.Delivered") {
+		t.Fatalf("in-module write through a facts-only unit went undetected: %v\n%s", err, out)
+	}
+	if strings.Contains(out, "fmt.Fprintf") {
+		t.Errorf("standard-library internals reported next to the mutant:\n%s", out)
 	}
 }

@@ -10,7 +10,9 @@ import (
 	"go/types"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 
 	"desiccant/internal/lint"
 )
@@ -27,6 +29,7 @@ type vetConfig struct {
 	GoFiles                   []string
 	NonGoFiles                []string
 	IgnoredFiles              []string
+	ModulePath                string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
 	Standard                  map[string]bool
@@ -51,13 +54,14 @@ func RunVet(cfgFile string, analyzers []*lint.Analyzer, jsonOut bool) int {
 	imports := readVetxFacts(cfg)
 
 	// Dependency units exist only to produce facts. Standard-library
-	// units get an empty facts file (nothing there is annotated);
-	// in-module units get real facts so annotations and mutator
-	// summaries flow to their dependents. Fact production never fails
-	// a build: on any error the unit degrades to empty facts.
+	// units get an empty facts file (nothing there is annotated, and
+	// their internal globals are not simulation state); in-module
+	// units get real facts so annotations and mutator summaries flow
+	// to their dependents. Fact production never fails a build: on any
+	// error the unit degrades to empty facts.
 	if cfg.VetxOnly {
 		var facts *lint.PackageFacts
-		if !cfg.Standard[cfg.ImportPath] {
+		if !isStandard(cfg) {
 			if pkg, files, info, err := typecheckUnit(fset, cfg); err == nil {
 				facts = lint.ComputeFacts(fset, files, pkg, info, imports)
 			}
@@ -93,6 +97,24 @@ func RunVet(cfgFile string, analyzers []*lint.Analyzer, jsonOut bool) int {
 		return 2
 	}
 	return 0
+}
+
+// isStandard reports whether the unit is a standard-library package.
+// The config's Standard map lists the unit's standard-library imports,
+// never the unit itself, so the answer comes from what the unit
+// carries: it belongs to no module, and its source directory is
+// <root>/src/<import path> for a root whose src holds the runtime
+// package — a GOROOT.
+func isStandard(cfg *vetConfig) bool {
+	if cfg.ModulePath != "" || cfg.Dir == "" {
+		return false
+	}
+	src, ok := strings.CutSuffix(filepath.Clean(cfg.Dir), string(filepath.Separator)+filepath.FromSlash(cfg.ImportPath))
+	if !ok || filepath.Base(src) != "src" {
+		return false
+	}
+	fi, err := os.Stat(filepath.Join(src, "runtime"))
+	return err == nil && fi.IsDir()
 }
 
 func readVetConfig(name string) (*vetConfig, error) {

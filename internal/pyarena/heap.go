@@ -196,6 +196,21 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	return o, nil
 }
 
+// Headroom implements runtime.Runtime. CPython keeps the per-object
+// path: first-fit scatters consecutive blocks over holes instead of
+// one contiguous span, the cyclic collector triggers on an allocation
+// count rather than on bytes, and an arena is released only once its
+// object list is empty.
+func (h *Heap) Headroom(int64) int64 { return 0 }
+
+// AllocateDead implements runtime.Runtime; with no headroom, only an
+// empty run is valid.
+func (h *Heap) AllocateDead(size, n int64) {
+	if n > 0 {
+		panic("pyarena: dead run beyond headroom")
+	}
+}
+
 // place first-fits o into the arena's free list, touching its pages.
 // The hole walk runs over the sorted object list in place — the same
 // first-fit order the old holes() slice yielded, without building it —

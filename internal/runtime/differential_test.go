@@ -136,3 +136,62 @@ func TestDifferentialReclaimBeatsCollect(t *testing.T) {
 		})
 	}
 }
+
+// TestHeadroomIsExact checks the Headroom contract on every heap: the
+// reported number of allocations runs without a collection or resize,
+// the next one collects on heaps that report any headroom, and an
+// AllocateDead past the headroom panics.
+func TestHeadroomIsExact(t *testing.T) {
+	hadRoom := map[string]bool{}
+	for _, size := range []int64{16 << 10, 48 << 10, 200 << 10} {
+		for name, rt := range newRuntimes(256 << 20) {
+			for i := 0; i < 3; i++ {
+				// Move the bump pointers off their initial positions.
+				for j := 0; j < 37; j++ {
+					o, err := rt.Allocate(size/2+4096, runtime.AllocOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.Dead = true
+				}
+				room := rt.Headroom(size)
+				stats, committed := rt.Stats(), rt.HeapCommitted()
+				for j := int64(0); j < room; j++ {
+					o, err := rt.Allocate(size, runtime.AllocOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.Dead = true
+				}
+				if rt.Stats() != stats || rt.HeapCommitted() != committed {
+					t.Fatalf("%s size %d: %d allocations inside the headroom collected or resized", name, size, room)
+				}
+				if room == 0 {
+					continue
+				}
+				hadRoom[name] = true
+				if o, err := rt.Allocate(size, runtime.AllocOptions{}); err != nil {
+					t.Fatal(err)
+				} else {
+					o.Dead = true
+				}
+				if rt.Stats() == stats {
+					t.Fatalf("%s size %d: the allocation past a headroom of %d did not collect", name, size, room)
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s size %d: AllocateDead past the headroom did not panic", name, size)
+						}
+					}()
+					rt.AllocateDead(size, rt.Headroom(size)+1)
+				}()
+			}
+		}
+	}
+	for _, name := range []string{hotspot.RuntimeName, v8heap.RuntimeName} {
+		if !hadRoom[name] {
+			t.Errorf("%s never reported headroom; the contract checked nothing", name)
+		}
+	}
+}

@@ -77,6 +77,22 @@ type Runtime interface {
 	// collection cleared it.
 	Allocate(size int64, opts AllocOptions) (*mm.Object, error)
 
+	// Headroom reports how many consecutive non-weak Allocate(size)
+	// calls the heap would serve before the next collection, resize,
+	// large-object placement or other change of placement policy — the
+	// stretch in which no collector can look at what was allocated. A
+	// runtime that cannot tell returns 0.
+	Headroom(size int64) int64
+
+	// AllocateDead places n allocations of size bytes, already dead,
+	// exactly where n Allocate(size) calls would have put them, as one
+	// dead filler object per contiguous span. Page touches, space
+	// layout and the bytes every later collection sees are those of
+	// the n calls; only the object count differs. n must not exceed
+	// Headroom(size): a larger n is an internal invariant violation
+	// and panics.
+	AllocateDead(size, n int64)
+
 	// CollectFull forces a full collection followed by the runtime's
 	// own resize policy — the System.gc()/global.gc() path used by the
 	// eager baseline. aggressive additionally clears weakly-referenced

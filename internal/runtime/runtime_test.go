@@ -14,6 +14,8 @@ type stubRuntime struct{ cfg Config }
 func (s *stubRuntime) Name() string                                     { return "stub" }
 func (s *stubRuntime) Language() Language                               { return Language("stub") }
 func (s *stubRuntime) Allocate(int64, AllocOptions) (*mm.Object, error) { return nil, ErrOutOfMemory }
+func (s *stubRuntime) Headroom(int64) int64                             { return 0 }
+func (s *stubRuntime) AllocateDead(int64, int64)                        {}
 func (s *stubRuntime) CollectFull(bool)                                 {}
 func (s *stubRuntime) Reclaim(bool) ReclaimReport                       { return ReclaimReport{} }
 func (s *stubRuntime) LiveBytes() int64                                 { return 0 }

@@ -64,6 +64,9 @@ func (a *arena) alloc(owner string) *chunk {
 	return c
 }
 
+// freeSlots reports how many more chunks alloc can hand out.
+func (a *arena) freeSlots() int64 { return int64(len(a.free) + a.total - a.next) }
+
 // release returns the chunk to the OS in full — data pages and header.
 func (a *arena) release(c *chunk) {
 	if c.dead {

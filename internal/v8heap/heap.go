@@ -211,6 +211,30 @@ func (h *Heap) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, erro
 	return nil, runtime.ErrOutOfMemory
 }
 
+// Headroom implements runtime.Runtime: the size pieces the allocating
+// semispace takes before a scavenge. A large-object size goes to
+// large-object space and has none.
+func (h *Heap) Headroom(size int64) int64 {
+	if size <= 0 || size > LargeObjectThreshold {
+		return 0
+	}
+	return h.fromSpace().headroom(size)
+}
+
+// AllocateDead implements runtime.Runtime: the n pieces become one
+// dead filler per chunk they span, counted towards the allocation
+// rate the young resize policy reads.
+func (h *Heap) AllocateDead(size, n int64) {
+	if n <= 0 {
+		return
+	}
+	if size > LargeObjectThreshold {
+		panic("v8heap: dead run of large objects")
+	}
+	h.allocSinceGC += n * size
+	h.fromSpace().allocateDead(&h.pool, size, n)
+}
+
 func (h *Heap) fromSpace() *semispace { return h.spaces[h.from] }
 func (h *Heap) toSpace() *semispace   { return h.spaces[1-h.from] }
 

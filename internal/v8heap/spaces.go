@@ -58,6 +58,58 @@ func (s *semispace) tryAllocate(o *mm.Object) bool {
 	}
 }
 
+// headroom counts the size pieces tryAllocate places before it first
+// fails: the current chunk's remainder, the empty chunks already
+// carved after it, and the chunks the space may still grow by — up to
+// its capacity and the arena's free slots. size must fit a chunk.
+func (s *semispace) headroom(size int64) int64 {
+	perChunk := ChunkUsable / size
+	var n int64
+	if s.chunkIdx < len(s.chunks) {
+		n = (ChunkSize-s.top)/size + int64(len(s.chunks)-s.chunkIdx-1)*perChunk
+	}
+	grow := min(s.capacity/ChunkSize-int64(len(s.chunks)), s.a.freeSlots())
+	if grow > 0 {
+		n += grow * perChunk
+	}
+	return n
+}
+
+// allocateDead places n dead size pieces where n tryAllocate calls
+// would, stepping and growing chunks the same way, as one dead filler
+// per chunk: within a chunk the pieces are back to back, so one touch
+// covers exactly the pages their touches would. n must not exceed
+// headroom(size).
+func (s *semispace) allocateDead(pool *mm.ObjectPool, size, n int64) {
+	for n > 0 {
+		if s.chunkIdx == len(s.chunks) {
+			var c *chunk
+			if int64(len(s.chunks)+1)*ChunkSize <= s.capacity {
+				c = s.a.alloc(s.name)
+			}
+			if c == nil {
+				panic("v8heap: dead run beyond semispace headroom")
+			}
+			s.chunks = append(s.chunks, c)
+			s.top = ChunkHeaderSize
+		}
+		k := min((ChunkSize-s.top)/size, n)
+		if k == 0 {
+			s.chunkIdx++
+			s.top = ChunkHeaderSize
+			continue
+		}
+		c := s.chunks[s.chunkIdx]
+		o := pool.New(k*size, false)
+		o.Dead = true
+		o.Offset = s.top
+		c.touch(o.Offset, o.Size)
+		c.objects = append(c.objects, o)
+		s.top += o.Size
+		n -= k
+	}
+}
+
 // semiBatch defers the data-page touches of a copying-GC loop over a
 // semispace: objects bump-allocate without touching pages, and the
 // pending contiguous span is flushed in one TouchBytes call whenever

@@ -23,6 +23,7 @@ import (
 // count — exactly the references a collector can still act on.
 type objectAudit struct {
 	held, free map[uintptr]int
+	objs       map[uintptr]*mm.Object
 	seen       map[uintptr]bool
 }
 
@@ -33,7 +34,7 @@ var (
 )
 
 func auditHeap(rt runtime.Runtime) *objectAudit {
-	a := &objectAudit{held: map[uintptr]int{}, free: map[uintptr]int{}, seen: map[uintptr]bool{}}
+	a := &objectAudit{held: map[uintptr]int{}, free: map[uintptr]int{}, objs: map[uintptr]*mm.Object{}, seen: map[uintptr]bool{}}
 	a.walk(reflect.ValueOf(rt), a.held)
 	return a
 }
@@ -46,6 +47,7 @@ func (a *objectAudit) walk(v reflect.Value, into map[uintptr]int) {
 		}
 		if v.Type() == objectPtrType {
 			into[v.Pointer()]++
+			a.objs[v.Pointer()] = (*mm.Object)(v.UnsafePointer())
 			return
 		}
 		if a.seen[v.Pointer()] {
@@ -125,16 +127,73 @@ func checkNoAliasing(t *testing.T, where string, rt runtime.Runtime, st *State) 
 	}
 }
 
+// fillerCensus wraps a heap so the audit can tell AllocateDead's
+// fillers apart: the objects a run adds are found by diffing the heap's
+// census around the call (no collection runs inside one), and an
+// object Allocate hands out again stops being a filler.
+type fillerCensus struct {
+	runtime.Runtime
+	fillers map[uintptr]*mm.Object
+	seen    int
+}
+
+func (f *fillerCensus) AllocateDead(size, n int64) {
+	before := auditHeap(f.Runtime)
+	f.Runtime.AllocateDead(size, n)
+	after := auditHeap(f.Runtime)
+	for p := range after.held {
+		if before.held[p] == 0 {
+			f.fillers[p] = after.objs[p]
+			f.seen++
+		}
+	}
+}
+
+func (f *fillerCensus) Allocate(size int64, opts runtime.AllocOptions) (*mm.Object, error) {
+	o, err := f.Runtime.Allocate(size, opts)
+	if o != nil {
+		delete(f.fillers, addr(o))
+	}
+	return o, err
+}
+
+// checkFillers asserts the filler laws: no filler ever enters the
+// state's window, a held filler is dead, a filler the heap no longer
+// holds sits on the free list, and after a full collection no filler
+// is held at all.
+func checkFillers(t *testing.T, where string, f *fillerCensus, st *State, collected bool) {
+	t.Helper()
+	for _, o := range st.window[st.windowHead:] {
+		if f.fillers[addr(o)] != nil {
+			t.Fatalf("%s stage %d: filler %v in the window", where, st.Stage, o)
+		}
+	}
+	a := auditHeap(f.Runtime)
+	for p, o := range f.fillers {
+		switch {
+		case a.held[p] == 1 && collected:
+			t.Fatalf("%s stage %d: filler %v survived a full collection", where, st.Stage, o)
+		case a.held[p] == 1 && !o.Dead:
+			t.Fatalf("%s stage %d: held filler %v is live", where, st.Stage, o)
+		case a.held[p] == 0 && a.free[p] != 1:
+			t.Fatalf("%s stage %d: filler %#x dropped without being recycled", where, st.Stage, p)
+		}
+	}
+}
+
 // TestRecycleNeverAliasesLiveObject drives every Table 1 function, and
 // the Python extras, through all four heap models — plain
-// collections, forced full collections and aggressive Desiccant
-// reclamations interleaved — and after every body execution and every
+// collections, forced full collections, aggressive Desiccant
+// reclamations and freezes that swap the heap out, interleaved — with
+// dead-run coalescing on, and after every body execution and every
 // collection audits the heap's free list against everything still in
-// use. CPython arenas cannot hold an object wider than an arena, so
-// functions that allocate one skip pyarena.
+// use, and its dead-run fillers against the filler laws. CPython
+// arenas cannot hold an object wider than an arena, so functions that
+// allocate one skip pyarena.
 func TestRecycleNeverAliasesLiveObject(t *testing.T) {
 	runtimes := []string{hotspot.RuntimeName, v8heap.RuntimeName, g1gc.RuntimeName, pyarena.RuntimeName}
 	const invocations = 6
+	fillers := map[string]int{}
 	for _, spec := range append(All(), Extras()...) {
 		for _, name := range runtimes {
 			where := spec.Name + "/" + name
@@ -142,18 +201,21 @@ func TestRecycleNeverAliasesLiveObject(t *testing.T) {
 				continue
 			}
 			m := osmem.NewMachine(osmem.DefaultFaultCosts())
-			rts := make([]runtime.Runtime, spec.ChainLength)
+			spaces := make([]*osmem.AddressSpace, spec.ChainLength)
+			rts := make([]*fillerCensus, spec.ChainLength)
 			states := make([]*State, spec.ChainLength)
 			for i := range rts {
+				spaces[i] = m.NewAddressSpace(where)
 				rt, err := runtime.New(name, runtime.Config{
-					AddressSpace: m.NewAddressSpace(where),
+					AddressSpace: spaces[i],
 					MemoryBudget: 512 << 20,
 					Cost:         mm.DefaultGCCostModel(),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				rts[i], states[i] = rt, NewState(spec, i)
+				rts[i] = &fillerCensus{Runtime: rt, fillers: map[uintptr]*mm.Object{}}
+				states[i] = NewState(spec, i)
 			}
 			rng := sim.NewRNG(7)
 			recycled := false
@@ -162,25 +224,43 @@ func TestRecycleNeverAliasesLiveObject(t *testing.T) {
 					if _, err := st.RunBody(rts[i], rng); err != nil {
 						t.Fatalf("%s: invocation %d stage %d: %v", where, inv, i, err)
 					}
-					checkNoAliasing(t, where, rts[i], st)
+					checkNoAliasing(t, where, rts[i].Runtime, st)
+					checkFillers(t, where, rts[i], st, false)
 				}
 				for _, st := range states {
 					st.ReleaseIntermediates()
 				}
 				for i, rt := range rts {
 					switch inv % 3 {
+					case 0:
+						// Freeze under memory pressure: swap the heap out.
+						va, length := rt.HeapRange()
+						for _, r := range spaces[i].Regions() {
+							if r.VA >= va && r.VA < va+length {
+								r.SwapOut(0, r.Pages())
+							}
+						}
 					case 1:
 						rt.Reclaim(true)
 					case 2:
 						rt.CollectFull(false)
 					}
-					checkNoAliasing(t, where, rt, states[i])
-					recycled = recycled || len(auditHeap(rt).free) > 0
+					checkNoAliasing(t, where, rt.Runtime, states[i])
+					checkFillers(t, where, rt, states[i], inv%3 != 0)
+					recycled = recycled || len(auditHeap(rt.Runtime).free) > 0
 				}
 			}
 			if !recycled {
 				t.Errorf("%s: nothing was ever recycled; the audit checked nothing", where)
 			}
+			for _, rt := range rts {
+				fillers[name] += rt.seen
+			}
+		}
+	}
+	for _, name := range []string{hotspot.RuntimeName, v8heap.RuntimeName} {
+		if fillers[name] == 0 {
+			t.Errorf("%s: no dead-run filler was ever placed; the filler laws checked nothing", name)
 		}
 	}
 }

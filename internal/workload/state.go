@@ -85,7 +85,7 @@ func (st *State) RunBody(rt runtime.Runtime, rng *sim.RNG) (BodyReport, error) {
 			rep.DeoptApplied = true
 			st.deoptWindow--
 		}
-		if st.weak == nil || st.weak.Dead || !weakStillPresent(st.weak) {
+		if st.weak == nil || st.weak.Dead {
 			o, err := rt.Allocate(sp.WeakBytes, runtime.AllocOptions{Weak: true})
 			if err != nil {
 				return rep, fmt.Errorf("%s: weak cache: %w", sp.Name, err)
@@ -106,9 +106,11 @@ func (st *State) RunBody(rt runtime.Runtime, rng *sim.RNG) (BodyReport, error) {
 
 	// Body temporaries: allocate the (jittered) volume in object-size
 	// clusters, letting data older than the working set die as the
-	// body progresses.
+	// body progresses. Unless intermediates follow, the last ones die
+	// at exit with no allocation in between.
 	volume := int64(rng.Jitter(float64(sp.AllocPerInvoke), 0.1))
-	n, err := st.allocTemps(rt, volume, sp.WorkingSet)
+	intermediates := sp.IntermediateBytes > 0 && st.Stage < sp.ChainLength-1
+	n, err := st.allocTemps(rt, volume, sp.WorkingSet, intermediates)
 	rep.AllocatedBytes += n
 	if err != nil {
 		return rep, fmt.Errorf("%s: body: %w", sp.Name, err)
@@ -119,7 +121,7 @@ func (st *State) RunBody(rt runtime.Runtime, rng *sim.RNG) (BodyReport, error) {
 	// a forced full collection promotes it into the old generation —
 	// touching additional pages — instead of reclaiming it: the
 	// mapreduce anomaly of §5.2.
-	if sp.IntermediateBytes > 0 && st.Stage < sp.ChainLength-1 {
+	if intermediates {
 		remaining := sp.IntermediateBytes
 		for remaining > 0 {
 			size := minI64(remaining, sp.ObjectSize)
@@ -143,12 +145,6 @@ func (st *State) RunBody(rt runtime.Runtime, rng *sim.RNG) (BodyReport, error) {
 // re-optimize after its caches were aggressively collected.
 const deoptRecoveryInvocations = 10
 
-// weakStillPresent distinguishes a weak object that was aggressively
-// collected: the heap marks nothing on the object itself, so the state
-// watches for the collection through the runtime's deopt signal; as a
-// second line of defense it treats a Dead flag as collected too.
-func weakStillPresent(o *mm.Object) bool { return !o.Dead }
-
 // initialize performs the first-invocation work: static state plus the
 // initialization allocation spike. Static objects are interleaved
 // with the churn — the way module state really materializes between
@@ -167,7 +163,7 @@ func (st *State) initialize(rt runtime.Runtime, rng *sim.RNG) (int64, error) {
 	}
 	remaining := sp.StaticBytes
 	for remaining > 0 {
-		n, err := st.allocTemps(rt, churnPerStatic, sp.WorkingSet)
+		n, err := st.allocTemps(rt, churnPerStatic, sp.WorkingSet, true)
 		total += n
 		if err != nil {
 			return total, fmt.Errorf("%s: init spike: %w", sp.Name, err)
@@ -183,7 +179,7 @@ func (st *State) initialize(rt runtime.Runtime, rng *sim.RNG) (int64, error) {
 		remaining -= size
 	}
 	if spike > 0 {
-		n, err := st.allocTemps(rt, spike, sp.WorkingSet)
+		n, err := st.allocTemps(rt, spike, sp.WorkingSet, true)
 		total += n
 		if err != nil {
 			return total, fmt.Errorf("%s: init spike: %w", sp.Name, err)
@@ -194,35 +190,85 @@ func (st *State) initialize(rt runtime.Runtime, rng *sim.RNG) (int64, error) {
 
 // allocTemps allocates volume bytes of temporaries in cluster-sized
 // objects, killing the oldest once the live window exceeds workingSet.
-func (st *State) allocTemps(rt runtime.Runtime, volume, workingSet int64) (int64, error) {
-	sp := st.Spec
+// keepTail reports that the caller allocates again before the window
+// dies; without it the temporaries are garbage the moment allocTemps
+// returns.
+//
+// Inside a stretch that fits the heap's Headroom no collector runs,
+// so whatever the window has killed by the stretch's end is never
+// seen alive: those pieces go in as one AllocateDead run, and only the
+// window's surviving tail is allocated object by object (DESIGN.md
+// §10, "Dead-run coalescing").
+func (st *State) allocTemps(rt runtime.Runtime, volume, workingSet int64, keepTail bool) (int64, error) {
+	size := st.Spec.ObjectSize
 	var total int64
 	for total < volume {
-		size := minI64(sp.ObjectSize, volume-total)
-		o, err := rt.Allocate(size, runtime.AllocOptions{})
-		if err != nil {
-			return total, err
+		full := (volume - total) / size
+		room := int64(0)
+		if full > 0 {
+			room = rt.Headroom(size)
 		}
-		total += size
-		st.window = append(st.window, o)
-		st.windowBytes += size
-		for st.windowBytes > workingSet && len(st.window)-st.windowHead > 1 {
-			oldest := st.window[st.windowHead]
-			oldest.Dead = true
-			st.windowBytes -= oldest.Size
-			st.window[st.windowHead] = nil
-			st.windowHead++
+		if room == 0 {
+			// Past the headroom the next piece may start a
+			// collection: allocate it on its own.
+			n := min(size, volume-total)
+			if err := st.allocTemp(rt, n, workingSet); err != nil {
+				return total, err
+			}
+			total += n
+			continue
 		}
-		// Slide the live tail down once the dead prefix dominates, so
-		// the buffer stays bounded by the working set.
-		if st.windowHead > len(st.window)/2 {
-			n := copy(st.window, st.window[st.windowHead:])
-			clear(st.window[n:])
-			st.window = st.window[:n]
-			st.windowHead = 0
+		// After a stretch of k full pieces the window is their last
+		// `live` pieces — the longest suffix within workingSet, at
+		// least one — so when live < k everything older is dead,
+		// before the stretch or in it. Without a tail to keep, a
+		// stretch that ends the run leaves nothing alive at all,
+		// provided a trailing partial piece still fits.
+		k := min(full, room)
+		live := min(k, max(1, workingSet/size))
+		if !keepTail && k == full && (room > k || full*size == volume-total) {
+			live = 0
+		}
+		if dead := k - live; dead > 0 {
+			st.killWindow()
+			rt.AllocateDead(size, dead)
+			total += dead * size
+		}
+		for ; live > 0; live-- {
+			if err := st.allocTemp(rt, size, workingSet); err != nil {
+				return total, err
+			}
+			total += size
 		}
 	}
 	return total, nil
+}
+
+// allocTemp is the per-object step: allocate one temporary into the
+// window, then kill the oldest ones the working set no longer holds.
+func (st *State) allocTemp(rt runtime.Runtime, size, workingSet int64) error {
+	o, err := rt.Allocate(size, runtime.AllocOptions{})
+	if err != nil {
+		return err
+	}
+	st.window = append(st.window, o)
+	st.windowBytes += size
+	for st.windowBytes > workingSet && len(st.window)-st.windowHead > 1 {
+		oldest := st.window[st.windowHead]
+		oldest.Dead = true
+		st.windowBytes -= oldest.Size
+		st.window[st.windowHead] = nil
+		st.windowHead++
+	}
+	// Slide the live tail down once the dead prefix dominates, so the
+	// buffer stays bounded by the working set.
+	if st.windowHead > len(st.window)/2 {
+		n := copy(st.window, st.window[st.windowHead:])
+		clear(st.window[n:])
+		st.window = st.window[:n]
+		st.windowHead = 0
+	}
+	return nil
 }
 
 func (st *State) killWindow() {

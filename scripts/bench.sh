@@ -53,6 +53,10 @@ run .                     'BenchmarkPyArenaReclaim$'                 "$LIGHT"
 # (objects recycle through mm.ObjectPool, work lists are reused).
 run ./internal/hotspot    'BenchmarkYoungGCCopy$'                    "$LIGHT"
 run ./internal/v8heap     'BenchmarkScavengeCopy$'                   "$LIGHT"
+# The steady-state body of one HotSpot and one V8 function, dead-run
+# coalescing included (DESIGN.md §10): the bench-smoke CI job asserts
+# both allocate nothing per op.
+run ./internal/workload   'BenchmarkRunBody$'                        "$LIGHT"
 run ./internal/osmem      'BenchmarkTouchRuns$|BenchmarkReleaseRuns$' "$MICRO"
 # PR 6: event-queue and parallel-engine comparisons. EngineHeap vs
 # EngineWheel is the same churn program on both queue implementations;
